@@ -268,6 +268,24 @@ def _print_check(name: str, passed: bool, detail: str) -> None:
     print(f"{name}: {'pass' if passed else 'FAIL'} ({detail})")
 
 
+def _finish_checks(
+    command: str, args: argparse.Namespace, config: ModelConfig, checks: list[dict]
+) -> int:
+    """Print one line per check, write the report to ``--out``, return the exit code."""
+    report = {
+        "command": command,
+        "model": str(args.model),
+        "master_seed": config.master_seed,
+        "checks": checks,
+        "passed": all(c["passed"] for c in checks),
+    }
+    for check in checks:
+        _print_check(check["name"], check["passed"], f"max residual {check['max_residual']:.3e}")
+    if args.out:
+        _write_text(Path(args.out), _report_json(report))
+    return 0 if report["passed"] else 1
+
+
 def _backward_path(out: Path) -> Path:
     return out.with_name(out.stem + ".backward" + out.suffix)
 
@@ -309,18 +327,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
                 "tolerance": balance.tolerance,
             }
         )
-    report = {
-        "command": "validate",
-        "model": str(args.model),
-        "master_seed": config.master_seed,
-        "checks": checks,
-        "passed": all(c["passed"] for c in checks),
-    }
-    for check in checks:
-        _print_check(check["name"], check["passed"], f"max residual {check['max_residual']:.3e}")
-    if args.out:
-        _write_text(Path(args.out), _report_json(report))
-    return 0 if report["passed"] else 1
+    return _finish_checks("validate", args, config, checks)
 
 
 def _cmd_exact(args: argparse.Namespace) -> int:
@@ -328,14 +335,11 @@ def _cmd_exact(args: argparse.Namespace) -> int:
     cap = args.cap if args.cap is not None else settings.enumeration_cap
     forward = exact_forward_joint(config, cap)
     backward = exact_backward_joint(config, cap)
-    print(
-        f"forward: {len(forward)} heat tuples, mass {forward.total_mass():.12f}, "
-        f"pruned {forward.pruned_mass:.3e}"
-    )
-    print(
-        f"backward: {len(backward)} heat tuples, mass {backward.total_mass():.12f}, "
-        f"pruned {backward.pruned_mass:.3e}"
-    )
+    for dist in (forward, backward):
+        print(
+            f"{dist.direction}: {len(dist)} heat tuples, mass {dist.total_mass():.12f}, "
+            f"pruned {dist.pruned_mass:.3e}"
+        )
     if args.out:
         out = Path(args.out)
         _write_text(out, _distribution_text(forward, args.format))
@@ -360,62 +364,35 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         for i in range(1, config.n_collisions + 1)
     ]
 
-    checks = []
     route_gap = compare_distributions(forward, via_ancillas)
-    checks.append(
+    checks = [
         {
             "name": "route_equivalence",
             "passed": route_gap <= ROUTE_EQUIVALENCE_TOL,
             "max_residual": route_gap,
             "tolerance": ROUTE_EQUIVALENCE_TOL,
         }
-    )
-    joint = verify_joint_ft(forward, backward, config, tolerance)
-    checks.append(
-        {
-            "name": "joint_ft",
-            "passed": joint.passed,
-            "max_residual": joint.max_log_residual,
-            "checked_pairs": joint.checked_pairs,
-            "support_mismatches": len(joint.support_mismatches),
-            "tolerance": tolerance,
-        }
-    )
-    product = verify_product_relation(forward, backward, singles, tolerance)
-    checks.append(
-        {
-            "name": "product_relation",
-            "passed": product.passed,
-            "max_residual": product.max_log_residual,
-            "checked_pairs": product.checked_pairs,
-            "support_mismatches": len(product.support_mismatches),
-            "tolerance": tolerance,
-        }
-    )
+    ]
+    reports = [
+        ("joint_ft", verify_joint_ft(forward, backward, config, tolerance)),
+        ("product_relation", verify_product_relation(forward, backward, singles, tolerance)),
+    ]
     if config.n_collisions >= 2:
-        partial = verify_partial_decomposition(config, tolerance, cap)
+        reports.append(
+            ("partial_decomposition", verify_partial_decomposition(config, tolerance, cap))
+        )
+    for name, result in reports:
         checks.append(
             {
-                "name": "partial_decomposition",
-                "passed": partial.passed,
-                "max_residual": partial.max_log_residual,
-                "checked_pairs": partial.checked_pairs,
-                "support_mismatches": len(partial.support_mismatches),
+                "name": name,
+                "passed": result.passed,
+                "max_residual": result.max_log_residual,
+                "checked_pairs": result.checked_pairs,
+                "support_mismatches": len(result.support_mismatches),
                 "tolerance": tolerance,
             }
         )
-    report = {
-        "command": "verify",
-        "model": str(args.model),
-        "master_seed": config.master_seed,
-        "checks": checks,
-        "passed": all(c["passed"] for c in checks),
-    }
-    for check in checks:
-        _print_check(check["name"], check["passed"], f"max residual {check['max_residual']:.3e}")
-    if args.out:
-        _write_text(Path(args.out), _report_json(report))
-    return 0 if report["passed"] else 1
+    return _finish_checks("verify", args, config, checks)
 
 
 def _dump_line(record) -> str:

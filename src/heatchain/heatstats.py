@@ -16,6 +16,14 @@ tuple keys collide exactly when the physics says they should, with no
 floating aliasing.  Probabilities are floats; entries whose accumulated
 mass falls below ``PRUNE_THRESHOLD`` are dropped and their total is kept in
 ``pruned_mass``.
+
+There are two enumeration routes.  The system-path route sweeps the chain
+of per-collision propagators, in collision order for the forward law and
+reversed for the backward one.  The via-ancilla route sweeps augmented
+paths through each collision's jump table (``CollisionStage.outcomes``)
+and reads heats off the ancillas.  All three identity checks share one
+log-ratio loop, ``_check_log_ratio``, and differ only in their right-hand
+sides.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -33,7 +41,6 @@ from .model import (
     EnumerationCapError,
     ModelConfig,
     ModelError,
-    Spectrum,
     format_rational,
     parse_rational,
     single_collision_model,
@@ -111,34 +118,8 @@ def _finalize(
         else:
             kept[key] = mass
     return JointHeatDistribution(
-        entries=kept,
-        direction=direction,
-        n_collisions=n_collisions,
-        pruned_mass=pruned,
+        entries=kept, direction=direction, n_collisions=n_collisions, pruned_mass=pruned
     )
-
-
-def _system_heat_table(spectrum: Spectrum) -> list[list[Fraction]]:
-    """heat[a][b] = E_a - E_b: heat released when the system drops a -> b."""
-    return [[e_a - e_b for e_b in spectrum.levels] for e_a in spectrum.levels]
-
-
-def _check_system_cap(model: ModelConfig, cap: int) -> None:
-    paths = model.system.dim ** (model.n_collisions + 1)
-    if paths > cap:
-        raise EnumerationCapError(
-            f"system-path enumeration needs {paths} paths, cap is {cap}"
-        )
-
-
-def _check_augmented_cap(model: ModelConfig, cap: int) -> None:
-    bound = 1
-    for anc in model.ancillas:
-        bound *= model.system.dim * anc.spectrum.dim**2
-    if bound > cap:
-        raise EnumerationCapError(
-            f"augmented-path enumeration bound is {bound} paths, cap is {cap}"
-        )
 
 
 def _accumulate_paths(
@@ -149,30 +130,50 @@ def _accumulate_paths(
     """Depth-first sweep over all chain paths, folding weights onto heat keys.
 
     ``matrices[i][next, cur]`` weights the step, ``heat_of_step[cur][next]``
-    labels it.  Zero-weight branches are skipped, and only the partial
-    product is carried down, so memory stays linear in the depth.
+    labels it.  Zero-weight branches are skipped.  An explicit stack keeps
+    long chains clear of the recursion limit; siblings are pushed in
+    reverse, so starts and then successors are visited in ascending order.
     """
+    # children[i][cur] = (next, weight, heat) of every nonzero step, reversed.
+    children = [
+        [
+            [(nxt, float(w), heat_of_step[cur][nxt]) for nxt, w in enumerate(col) if w != 0.0][::-1]
+            for cur, col in enumerate(m.T)
+        ]
+        for m in matrices
+    ]
     accum: dict[HeatKey, float] = {}
-    n_steps = len(matrices)
-    key_buffer: list[Fraction] = [Fraction(0)] * n_steps
-
-    def descend(level: int, step: int, weight: float) -> None:
-        if step == n_steps:
+    key_buffer: list[Fraction] = [Fraction(0)] * len(matrices)
+    stack = [(0, start, float(p), None) for start, p in enumerate(initial) if p > 0.0][::-1]
+    while stack:
+        step, level, weight, heat = stack.pop()
+        if step:
+            key_buffer[step - 1] = heat
+        if step == len(matrices):
             key = tuple(key_buffer)
             accum[key] = accum.get(key, 0.0) + weight
-            return
-        column = matrices[step][:, level]
-        heats = heat_of_step[level]
-        for nxt, w in enumerate(column):
-            if w == 0.0:
-                continue
-            key_buffer[step] = heats[nxt]
-            descend(nxt, step + 1, weight * float(w))
-
-    for start, p in enumerate(initial):
-        if p > 0.0:
-            descend(start, 0, float(p))
+            continue
+        for nxt, w, q in children[step][level]:
+            stack.append((step + 1, nxt, weight * w, q))
     return accum
+
+
+def _exact_joint(model: ModelConfig, cap: int, direction: str) -> JointHeatDistribution:
+    """Enumerate every system path, with the stages in collision order or reversed."""
+    paths = model.system.dim ** (model.n_collisions + 1)
+    if paths > cap:
+        raise EnumerationCapError(
+            f"system-path enumeration needs {paths} paths, cap is {cap}"
+        )
+    realized = realize_model(model)
+    stages = realized.stages if direction == "forward" else realized.stages[::-1]
+    levels = model.system.levels
+    accum = _accumulate_paths(
+        realized.system_state.populations,
+        [stage.propagator.matrix for stage in stages],
+        [[e_a - e_b for e_b in levels] for e_a in levels],  # heat of the drop a -> b
+    )
+    return _finalize(accum, direction, model.n_collisions)
 
 
 def exact_forward_joint(
@@ -182,14 +183,7 @@ def exact_forward_joint(
 
     Slot ``i-1`` of each key is the heat delivered to ancilla ``i``.
     """
-    _check_system_cap(model, cap)
-    realized = realize_model(model)
-    accum = _accumulate_paths(
-        realized.system_state.populations,
-        [stage.propagator.matrix for stage in realized.stages],
-        _system_heat_table(model.system),
-    )
-    return _finalize(accum, "forward", model.n_collisions)
+    return _exact_joint(model, cap, "forward")
 
 
 def exact_backward_joint(
@@ -206,14 +200,7 @@ def exact_backward_joint(
     which makes it the negated forward-trajectory heat of the matching
     ancilla.
     """
-    _check_system_cap(model, cap)
-    realized = realize_model(model)
-    accum = _accumulate_paths(
-        realized.system_state.populations,
-        [stage.propagator.matrix for stage in reversed(realized.stages)],
-        _system_heat_table(model.system),
-    )
-    return _finalize(accum, "backward", model.n_collisions)
+    return _exact_joint(model, cap, "backward")
 
 
 def iter_augmented_paths(
@@ -223,51 +210,44 @@ def iter_augmented_paths(
 
     The weight multiplies the initial thermal probability, each ancilla's
     thermal weight and the jump probability of each collision; zero-weight
-    branches are skipped.
+    branches are skipped.  Paths come in the same depth-first order as
+    :func:`_accumulate_paths` visits them, from an explicit stack.
     """
-    _check_augmented_cap(model, cap)
+    bound = math.prod(model.system.dim * anc.spectrum.dim**2 for anc in model.ancillas)
+    if bound > cap:
+        raise EnumerationCapError(
+            f"augmented-path enumeration bound is {bound} paths, cap is {cap}"
+        )
     realized = realize_model(model)
     n = model.n_collisions
 
-    # Per collision, per joint input (alpha, n): the list of reachable
-    # (alpha', n', probability) triples inside the input's shell.
-    rows: list[dict[tuple[int, int], list[tuple[int, int, float]]]] = []
-    for stage in realized.stages:
-        table: dict[tuple[int, int], list[tuple[int, int, float]]] = {}
-        for shell, probs in zip(stage.tensor.shells, stage.tensor.probs):
-            for j, member_in in enumerate(shell.members):
-                table[member_in] = [
-                    (member_out[0], member_out[1], float(probs[i, j]))
-                    for i, member_out in enumerate(shell.members)
-                    if probs[i, j] != 0.0
-                ]
-        rows.append(table)
-
+    # children[i][alpha] = (alpha', (n, n'), q(n), jump) per occupied n and outcome, reversed.
+    children = [
+        [
+            [
+                (a_out, (n_in, n_out), float(q), jump)
+                for n_in, q in enumerate(stage.ancilla_state.populations)
+                if q != 0.0
+                for a_out, n_out, jump in stage.outcomes[(alpha, n_in)]
+            ][::-1]
+            for alpha in range(model.system.dim)
+        ]
+        for stage in realized.stages
+    ]
     alphas: list[int] = [0] * (n + 1)
     pairs: list[tuple[int, int]] = [(0, 0)] * n
-
-    def descend(step: int, weight: float) -> Iterator[
-        tuple[tuple[int, ...], tuple[tuple[int, int], ...], float]
-    ]:
+    p0 = realized.system_state.populations
+    stack = [(0, start, None, float(p)) for start, p in enumerate(p0) if p > 0.0][::-1]
+    while stack:
+        step, alpha, pair, weight = stack.pop()
+        alphas[step] = alpha
+        if step:
+            pairs[step - 1] = pair
         if step == n:
             yield tuple(alphas), tuple(pairs), weight
-            return
-        stage = realized.stages[step]
-        q = stage.ancilla_state.populations
-        for n_in in range(stage.spectrum.dim):
-            qw = float(q[n_in])
-            if qw == 0.0:
-                continue
-            for a_out, n_out, jump in rows[step][(alphas[step], n_in)]:
-                alphas[step + 1] = a_out
-                pairs[step] = (n_in, n_out)
-                yield from descend(step + 1, weight * qw * jump)
-
-    p0 = realized.system_state.populations
-    for start in range(model.system.dim):
-        if p0[start] > 0.0:
-            alphas[0] = start
-            yield from descend(0, float(p0[start]))
+            continue
+        for a_out, move, qw, jump in children[step][alpha]:
+            stack.append((step + 1, a_out, move, weight * qw * jump))
 
 
 def exact_forward_joint_via_ancilla_paths(
@@ -279,10 +259,10 @@ def exact_forward_joint_via_ancilla_paths(
     path, which exercises an independent enumeration route; the result must
     agree entrywise with :func:`exact_forward_joint`.
     """
-    anc_heat: list[list[list[Fraction]]] = []
-    for anc in model.ancillas:
-        levels = anc.spectrum.levels
-        anc_heat.append([[e_out - e_in for e_out in levels] for e_in in levels])
+    anc_heat = [
+        [[e_out - e_in for e_out in anc.spectrum.levels] for e_in in anc.spectrum.levels]
+        for anc in model.ancillas
+    ]
 
     accum: dict[HeatKey, float] = {}
     for _, pairs, weight in iter_augmented_paths(model, cap):
@@ -349,9 +329,38 @@ class FTReport:
     passed: bool
 
 
-def _build_report(
-    worst: float, checked: int, mismatches: list[HeatKey], tolerance: float
+def _check_log_ratio(
+    forward: JointHeatDistribution,
+    backward: JointHeatDistribution,
+    rhs: Callable[[HeatKey], Sequence[float] | None],
+    tolerance: float,
+    *,
+    strict_rhs: bool = False,
+    orphans: Sequence[HeatKey] = (),
 ) -> FTReport:
+    """Compare ``log p_fwd - log p_bwd`` at each forward key with its partner.
+
+    ``rhs(key)`` gives the terms subtracted, in order, from the log ratio,
+    or None when a factor on the right has no support.  A key without a
+    partner or a right-hand side is a mismatch unless its mass could have
+    been pruned (``strict_rhs`` drops that allowance for the right-hand
+    side).  ``orphans`` are mismatches the caller found.
+    """
+    worst = 0.0
+    checked = 0
+    mismatches = list(orphans)
+    for key, p_fwd in forward.entries.items():
+        p_bwd = backward.entries.get(_reversed_negated(key), 0.0)
+        terms = rhs(key) if p_bwd != 0.0 else None
+        if terms is None:
+            if p_fwd > SUPPORT_FLOOR or (strict_rhs and p_bwd != 0.0):
+                mismatches.append(key)
+            continue
+        residual = math.log(p_fwd) - math.log(p_bwd)
+        for term in terms:
+            residual -= term
+        worst = max(worst, abs(residual))
+        checked += 1
     return FTReport(
         max_log_residual=worst,
         checked_pairs=checked,
@@ -380,25 +389,16 @@ def verify_joint_ft(
     if forward.n_collisions != model.n_collisions:
         raise ModelError("distribution and model collision counts differ")
     deltas = [beta - model.system_beta for beta in model.ancilla_betas]
+    orphans = [
+        _reversed_negated(key)
+        for key, p_bwd in backward.entries.items()
+        if p_bwd > SUPPORT_FLOOR and _reversed_negated(key) not in forward.entries
+    ]
 
-    worst = 0.0
-    checked = 0
-    mismatches: list[HeatKey] = []
-    for key, p_fwd in forward.entries.items():
-        partner = _reversed_negated(key)
-        p_bwd = backward.entries.get(partner, 0.0)
-        if p_bwd == 0.0:
-            if p_fwd > SUPPORT_FLOOR:
-                mismatches.append(key)
-            continue
-        exponent = sum(d * float(q) for d, q in zip(deltas, key))
-        residual = abs(math.log(p_fwd) - math.log(p_bwd) - exponent)
-        worst = max(worst, residual)
-        checked += 1
-    for key, p_bwd in backward.entries.items():
-        if p_bwd > SUPPORT_FLOOR and _reversed_negated(key) not in forward.entries:
-            mismatches.append(_reversed_negated(key))
-    return _build_report(worst, checked, mismatches, tolerance)
+    def exponent(key: HeatKey) -> tuple[float]:
+        return (sum(d * float(q) for d, q in zip(deltas, key)),)
+
+    return _check_log_ratio(forward, backward, exponent, tolerance, orphans=orphans)
 
 
 def verify_product_relation(
@@ -411,36 +411,23 @@ def verify_product_relation(
 
     The right-hand side multiplies, for each collision, the ratio of the
     fresh single-collision distribution at +Q_i and -Q_i.  The joint
-    distribution itself does not factor; only the ratio does.
+    distribution itself does not factor; only the ratio does.  A zero
+    single-collision factor is a mismatch whatever the key's mass.
     """
     if len(singles) != forward.n_collisions:
         raise ModelError("need one single-collision distribution per collision")
-    worst = 0.0
-    checked = 0
-    mismatches: list[HeatKey] = []
-    for key, p_fwd in forward.entries.items():
-        partner = _reversed_negated(key)
-        p_bwd = backward.entries.get(partner, 0.0)
-        if p_bwd == 0.0:
-            if p_fwd > SUPPORT_FLOOR:
-                mismatches.append(key)
-            continue
-        rhs = 0.0
-        defined = True
-        for i, q in enumerate(key):
-            plus = singles[i].probability((q,))
-            minus = singles[i].probability((-q,))
+
+    def rhs(key: HeatKey) -> tuple[float] | None:
+        total = 0.0
+        for single, q in zip(singles, key):
+            plus = single.probability((q,))
+            minus = single.probability((-q,))
             if plus == 0.0 or minus == 0.0:
-                mismatches.append(key)
-                defined = False
-                break
-            rhs += math.log(plus) - math.log(minus)
-        if not defined:
-            continue
-        residual = abs(math.log(p_fwd) - math.log(p_bwd) - rhs)
-        worst = max(worst, residual)
-        checked += 1
-    return _build_report(worst, checked, mismatches, tolerance)
+                return None
+            total += math.log(plus) - math.log(minus)
+        return (total,)
+
+    return _check_log_ratio(forward, backward, rhs, tolerance, strict_rhs=True)
 
 
 def verify_partial_decomposition(
@@ -465,30 +452,15 @@ def verify_partial_decomposition(
     prefix_bwd = exact_backward_joint(truncated_model(model, n - 1), cap)
     last_single = single_collision_distribution(model, n, cap)
 
-    worst = 0.0
-    checked = 0
-    mismatches: list[HeatKey] = []
-    for key, p_fwd in forward.entries.items():
-        partner = _reversed_negated(key)
-        p_bwd = backward.entries.get(partner, 0.0)
-        head, q_last = key[:-1], key[-1]
-        p_head_fwd = prefix_fwd.probability(head)
-        p_head_bwd = prefix_bwd.probability(_reversed_negated(head))
-        p_plus = last_single.probability((q_last,))
-        p_minus = last_single.probability((-q_last,))
-        pieces = (p_bwd, p_head_fwd, p_head_bwd, p_plus, p_minus)
-        if any(p == 0.0 for p in pieces):
-            if p_fwd > SUPPORT_FLOOR:
-                mismatches.append(key)
-            continue
-        residual = abs(
-            (math.log(p_fwd) - math.log(p_bwd))
-            - (math.log(p_head_fwd) - math.log(p_head_bwd))
-            - (math.log(p_plus) - math.log(p_minus))
-        )
-        worst = max(worst, residual)
-        checked += 1
-    return _build_report(worst, checked, mismatches, tolerance)
+    def rhs(key: HeatKey) -> tuple[float, float] | None:
+        head, q = key[:-1], key[-1]
+        fwd, bwd = prefix_fwd.probability(head), prefix_bwd.probability(_reversed_negated(head))
+        plus, minus = last_single.probability((q,)), last_single.probability((-q,))
+        if 0.0 in (fwd, bwd, plus, minus):
+            return None
+        return (math.log(fwd) - math.log(bwd), math.log(plus) - math.log(minus))
+
+    return _check_log_ratio(forward, backward, rhs, tolerance)
 
 
 def compare_distributions(

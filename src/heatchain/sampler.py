@@ -24,7 +24,7 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .chain import evolve, realize_model
+from .chain import CollisionStage, evolve, realize_model
 from .heatstats import (
     DEFAULT_ENUMERATION_CAP,
     HeatKey,
@@ -138,8 +138,8 @@ class _SamplerTables:
         self.anc_cum: list[list[float]] = []
         self.log_q: list[list[float]] = []
         self.anc_heat_id: list[list[list[int]]] = []
-        # rows[i][(alpha, n)] = (cumulative probs, outcomes, log probs)
-        self.rows: list[dict[tuple[int, int], tuple[list[float], list[tuple[int, int]], list[float]]]] = []
+        # rows[i][(alpha, n)] = (cumulative probs, stage.outcomes row, log probs)
+        self.rows: list[dict[tuple[int, int], tuple[list[float], tuple, list[float]]]] = []
         for stage in realized.stages:
             q = stage.ancilla_state.populations
             self.anc_cum.append(np.cumsum(q).tolist())
@@ -148,26 +148,20 @@ class _SamplerTables:
             self.anc_heat_id.append(
                 [[heat_id(e_out - e_in) for e_out in levels] for e_in in levels]
             )
-            table: dict[tuple[int, int], tuple[list[float], list[tuple[int, int]], list[float]]] = {}
-            for shell, probs in zip(stage.tensor.shells, stage.tensor.probs):
-                for j, member_in in enumerate(shell.members):
-                    outcomes = []
-                    weights = []
-                    for i, member_out in enumerate(shell.members):
-                        w = float(probs[i, j])
-                        if w > 0.0:
-                            outcomes.append(member_out)
-                            weights.append(w)
-                    cum = np.cumsum(weights).tolist()
-                    logs = [math.log(w) for w in weights]
-                    table[member_in] = (cum, outcomes, logs)
-            self.rows.append(table)
+            self.rows.append(
+                {
+                    member_in: (
+                        np.cumsum([w for _, _, w in row]).tolist(),
+                        row,
+                        [math.log(w) for _, _, w in row],
+                    )
+                    for member_in, row in stage.outcomes.items()
+                }
+            )
 
-        self.heat_value = [0.0] * len(registry)
-        self.heat_fraction: list[Fraction] = [Fraction(0)] * len(registry)
-        for value, idx in registry.items():
-            self.heat_value[idx] = float(value)
-            self.heat_fraction[idx] = value
+        # Ids are handed out in insertion order, so position is the id.
+        self.heat_fraction: list[Fraction] = list(registry)
+        self.heat_value = [float(value) for value in self.heat_fraction]
 
 
 @lru_cache(maxsize=64)
@@ -193,7 +187,7 @@ def _draw_record(tables: _SamplerTables, rng: np.random.Generator) -> Trajectory
         n_in = _pick(tables.anc_cum[i], random())
         cum, outcomes, logs = tables.rows[i][(alpha, n_in)]
         j = _pick(cum, random())
-        alpha_next, n_out = outcomes[j]
+        alpha_next, n_out, _ = outcomes[j]
         hid = tables.sys_heat_id[alpha][alpha_next]
         if hid != tables.anc_heat_id[i][n_in][n_out]:
             raise ConsistencyError(
@@ -287,15 +281,8 @@ def entropy_production(
     return sigma
 
 
-def ancilla_post_state(model: ModelConfig, i: int) -> np.ndarray:
-    """Populations of ancilla ``i`` after its collision (1-based index)."""
-    if not 1 <= i <= model.n_collisions:
-        raise ValueError(f"collision index {i} out of range 1..{model.n_collisions}")
-    realized = realize_model(model)
-    p = realized.system_state.populations
-    for stage in realized.stages[: i - 1]:
-        p = evolve(p, stage.propagator)
-    stage = realized.stages[i - 1]
+def _ancilla_post(stage: CollisionStage, p: np.ndarray) -> np.ndarray:
+    """Ancilla populations after ``stage``'s collision with system populations ``p``."""
     q = stage.ancilla_state.populations
     post = np.zeros(stage.spectrum.dim)
     for shell, probs in zip(stage.tensor.shells, stage.tensor.probs):
@@ -304,6 +291,17 @@ def ancilla_post_state(model: ModelConfig, i: int) -> np.ndarray:
         for idx, (_, n_out) in enumerate(shell.members):
             post[n_out] += exit_mass[idx]
     return post
+
+
+def ancilla_post_state(model: ModelConfig, i: int) -> np.ndarray:
+    """Populations of ancilla ``i`` after its collision (1-based index)."""
+    if not 1 <= i <= model.n_collisions:
+        raise ValueError(f"collision index {i} out of range 1..{model.n_collisions}")
+    realized = realize_model(model)
+    p = realized.system_state.populations
+    for stage in realized.stages[: i - 1]:
+        p = evolve(p, stage.propagator)
+    return _ancilla_post(realized.stages[i - 1], p)
 
 
 @dataclass(frozen=True)
@@ -352,15 +350,16 @@ def average_entropy_production(
         trajectory_average += weight * value
 
     p = realized.system_state.populations
+    q_posts = []
     for stage in realized.stages:
+        q_posts.append(_ancilla_post(stage, p))
         p = evolve(p, stage.propagator)
     information_form = (
         shannon_entropy(p)
         - shannon_entropy(realized.system_state.populations)
         + kl_divergence(p, realized.system_state.populations)
     )
-    for i, stage in enumerate(realized.stages, start=1):
-        q_post = ancilla_post_state(model, i)
+    for stage, q_post in zip(realized.stages, q_posts):
         q_pre = stage.ancilla_state.populations
         information_form += (
             shannon_entropy(q_post) - shannon_entropy(q_pre) + kl_divergence(q_post, q_pre)
@@ -376,20 +375,6 @@ def average_entropy_production(
         max_pairwise_gap=float(gap),
         tolerance=tolerance,
         passed=passed,
-    )
-
-
-def _empirical_from_counts(
-    counts: dict[HeatKey, int], total: int, n_collisions: int
-) -> EmpiricalJoint:
-    entries = {key: count / total for key, count in counts.items()}
-    stderr = {key: math.sqrt(p * (1.0 - p) / total) for key, p in entries.items()}
-    return EmpiricalJoint(
-        distribution=JointHeatDistribution(
-            entries=entries, direction="forward", n_collisions=n_collisions
-        ),
-        stderr=stderr,
-        shots=total,
     )
 
 
@@ -409,7 +394,15 @@ def empirical_joint(
         raise ValueError(f"received {seen} records, expected {total}")
     if total == 0:
         raise ValueError("need at least one record")
-    return _empirical_from_counts(counts, total, n_collisions)
+    entries = {key: count / total for key, count in counts.items()}
+    stderr = {key: math.sqrt(p * (1.0 - p) / total) for key, p in entries.items()}
+    return EmpiricalJoint(
+        distribution=JointHeatDistribution(
+            entries=entries, direction="forward", n_collisions=n_collisions
+        ),
+        stderr=stderr,
+        shots=total,
+    )
 
 
 def summarize_samples(
@@ -420,24 +413,19 @@ def summarize_samples(
     Single pass, nothing retained per shot, so arbitrarily long record
     streams can be summarized.
     """
-    counts: dict[HeatKey, int] = {}
-    seen = 0
-    n_collisions = 0
     exp_sum = 0.0
     exp_sq_sum = 0.0
-    for record in records:
-        n_collisions = len(record.heats)
-        counts[record.heats] = counts.get(record.heats, 0) + 1
-        seen += 1
-        w = math.exp(-record.sigma)
-        exp_sum += w
-        exp_sq_sum += w * w
-    total = shots if shots is not None else seen
-    if total != seen:
-        raise ValueError(f"received {seen} records, expected {total}")
-    if total == 0:
-        raise ValueError("need at least one record")
-    empirical = _empirical_from_counts(counts, total, n_collisions)
+
+    def weighed() -> Iterator[TrajectoryRecord]:
+        nonlocal exp_sum, exp_sq_sum
+        for record in records:
+            w = math.exp(-record.sigma)
+            exp_sum += w
+            exp_sq_sum += w * w
+            yield record
+
+    empirical = empirical_joint(weighed(), shots)
+    total = empirical.shots
     mean = exp_sum / total
     variance = max(exp_sq_sum / total - mean * mean, 0.0)
     return SampleSummary(
