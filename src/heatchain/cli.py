@@ -59,11 +59,11 @@ from .model import (
     ModelConfig,
     ModelError,
     Spectrum,
-    format_rational,
     parse_rational,
 )
 from .sampler import (
     SamplerConfig,
+    _heat_text,
     average_entropy_production,
     iter_trajectories,
     summarize_samples,
@@ -400,7 +400,7 @@ def _dump_line(record) -> str:
         {
             "alphas": list(record.trajectory.alphas),
             "ancilla_pairs": [list(pair) for pair in record.trajectory.ancilla_pairs],
-            "heats": [format_rational(q) for q in record.heats],
+            "heats": _heat_text(record),
             "sigma": record.sigma,
         }
     )
@@ -473,6 +473,21 @@ def _cmd_entropy(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="heatchain",
@@ -503,9 +518,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="Monte Carlo trajectory sampling")
     common(p, cap=False)
-    p.add_argument("--shots", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=None, help="sampler seed (defaults to master_seed)")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--shots", type=_int_at_least(1), default=10000)
+    p.add_argument(
+        "--seed", type=_int_at_least(0), default=None,
+        help="sampler seed (defaults to master_seed)",
+    )
+    p.add_argument("--workers", type=_int_at_least(1), default=1)
     p.add_argument("--dump", help="write one JSON record per trajectory here")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(handler=_cmd_sample)

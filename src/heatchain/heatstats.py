@@ -497,10 +497,6 @@ def integral_ft_expectation(forward: JointHeatDistribution, model: ModelConfig) 
 # Serialization: CSV and JSON views of a distribution.
 
 
-def _decimal(q: Fraction) -> str:
-    return format(float(q), ".12g")
-
-
 def distribution_to_csv(dist: JointHeatDistribution, include_exact: bool = False) -> str:
     """Render as CSV, one row per heat tuple, sorted by key.
 
@@ -514,11 +510,29 @@ def distribution_to_csv(dist: JointHeatDistribution, include_exact: bool = False
     if include_exact:
         header += [f"Q_{i}_exact" for i in range(1, n + 1)]
     out.write(",".join(header) + "\n")
-    for key, prob in dist.items_sorted():
-        row = [_decimal(q) for q in key] + [repr(prob)]
+
+    # Keys share a few Fraction objects, so every distinct value is ranked
+    # and formatted once and cells are looked up by object identity.  Rows
+    # sort on fixed-width big-endian rank bytes, which order exactly as the
+    # Fraction tuples do, without comparing Fractions.
+    objects = {id(q): q for key in dist.entries for q in key}
+    values = sorted(set(objects.values()))
+    width = max(1, ((len(values) - 1).bit_length() + 7) // 8)
+    rank = {q: r.to_bytes(width, "big") for r, q in enumerate(values)}
+    text = {q: (format(float(q), ".12g"), format_rational(q)) for q in values}
+    rank_of = {i: rank[q] for i, q in objects.items()}
+    decimal_of = {i: text[q][0] for i, q in objects.items()}
+    exact_of = {i: text[q][1] for i, q in objects.items()}
+
+    def rank_key(item: tuple[HeatKey, float]) -> bytes:
+        return b"".join(map(rank_of.__getitem__, map(id, item[0])))
+
+    for key, prob in sorted(dist.entries.items(), key=rank_key):
+        cells = list(map(id, key))
+        fields = [*map(decimal_of.__getitem__, cells), repr(prob)]
         if include_exact:
-            row += [format_rational(q) for q in key]
-        out.write(",".join(row) + "\n")
+            fields += map(exact_of.__getitem__, cells)
+        out.write(",".join(fields) + "\n")
     return out.getvalue()
 
 

@@ -8,16 +8,25 @@ shell's row of transition probabilities is ever touched.
 Worker ``w`` of ``worker_count`` owns the stream keyed by (master_seed, w);
 shot ``j`` is served by worker ``j mod worker_count`` and results are
 aggregated in shot order, so output depends only on (master_seed,
-worker_count), never on scheduling.  The implementation runs the workers'
-shots interleaved on one thread; the stream layout is what guarantees that
-a parallel execution would reproduce the same numbers.
+worker_count), never on scheduling.  Every shot consumes exactly ``1 + 2N``
+uniforms from its worker's stream, in order.  Shots are drawn in blocks:
+each worker fills its rows of a ``(shots, 1 + 2N)`` uniform array from one
+``random`` call, which reads the same uniforms as that many scalar draws,
+and the whole block is then advanced one collision at a time with array
+lookups.  Everything runs on one thread; the stream layout is what
+guarantees that a parallel execution would reproduce the same numbers.
+
+The per-shot consistency checks (system-side against ancilla-side heat,
+heat form against log form of the entropy production) are evaluated for a
+whole block at once, so a ConsistencyError is raised before any record of
+the offending block is yielded.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping
@@ -35,6 +44,7 @@ from .heatstats import (
 from .model import (
     ConsistencyError,
     ModelConfig,
+    format_rational,
     kl_divergence,
     shannon_entropy,
 )
@@ -60,6 +70,10 @@ __all__ = [
 
 SIGMA_CONSISTENCY_TOL = 1e-10
 
+# Shots advanced together.  Records are streamed out of each block, so this
+# bounds the arrays held alive, whatever the shot count.
+_BLOCK_SHOTS = 256
+
 
 @dataclass(frozen=True)
 class SamplerConfig:
@@ -84,10 +98,22 @@ class AugmentedTrajectory:
 
 @dataclass(frozen=True)
 class TrajectoryRecord:
+    """One sampled shot.
+
+    ``heat_code`` is bookkeeping for the counting and dump paths, outside
+    the constructor, equality and repr: the sampler tables that drew the
+    shot and the bytes of its heat ids in their registry.  Records built by
+    hand, or copied with ``dataclasses.replace``, have ``None`` there and
+    are counted on ``heats``.
+    """
+
     trajectory: AugmentedTrajectory
     heats: HeatKey
     sigma: float
     log_path_probability: float
+    heat_code: tuple[_SamplerTables, bytes] | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,23 +133,32 @@ class SampleSummary:
     shots: int
 
 
+def _logs(values) -> list[float]:
+    # math.log, not np.log: the sampler's sums must not depend on numpy's
+    # vectorized logarithm, whose last bit may differ.
+    return [math.log(v) if v > 0 else -math.inf for v in values]
+
+
 class _SamplerTables:
-    """Flat lookup tables that make the per-shot work table-driven.
+    """Padded arrays that let a block of shots advance one collision at a time.
 
     Every distinct heat value (a difference of two levels) gets a small
     integer id in a shared registry, so the per-shot equality check between
     system-side and ancilla-side heat bookkeeping is an integer comparison
-    while staying exact.
+    while staying exact, and a record's heat tuple is a short byte string.
+    The rows of every ``CollisionStage.outcomes`` table are stacked into
+    padded per-row arrays; ``row[i, alpha, n]`` is the row of joint input
+    ``(alpha, n)`` at collision ``i``.  CDF padding is +inf, never picked.
     """
 
     def __init__(self, model: ModelConfig) -> None:
         realized = realize_model(model)
-        self.n = model.n_collisions
-        self.beta_diff = [anc.beta - model.system_beta for anc in model.ancillas]
+        n = self.n = model.n_collisions
+        self.beta_diff = np.array([anc.beta - model.system_beta for anc in model.ancillas])
 
         p0 = realized.system_state.populations
-        self.p0_cum = np.cumsum(p0).tolist()
-        self.log_p0 = [math.log(p) if p > 0 else -math.inf for p in p0]
+        self.p0_cum = np.cumsum(p0)
+        self.log_p0 = np.array(_logs(p0))
 
         registry: dict[Fraction, int] = {}
 
@@ -131,37 +166,52 @@ class _SamplerTables:
             return registry.setdefault(value, len(registry))
 
         sys_levels = model.system.levels
-        self.sys_heat_id = [
-            [heat_id(e_a - e_b) for e_b in sys_levels] for e_a in sys_levels
-        ]
+        sys_heat_id = [[heat_id(e_a - e_b) for e_b in sys_levels] for e_a in sys_levels]
 
-        self.anc_cum: list[list[float]] = []
-        self.log_q: list[list[float]] = []
-        self.anc_heat_id: list[list[list[int]]] = []
-        # rows[i][(alpha, n)] = (cumulative probs, stage.outcomes row, log probs)
-        self.rows: list[dict[tuple[int, int], tuple[list[float], tuple, list[float]]]] = []
-        for stage in realized.stages:
+        width = self.width = max(stage.spectrum.dim for stage in realized.stages)
+        self.anc_dim = [stage.spectrum.dim for stage in realized.stages]
+        self.anc_cum = np.full((n, width), np.inf)
+        self.log_q = np.zeros((n, width))
+        anc_heat_id = np.zeros((n, width, width), dtype=np.intp)
+        self.row = np.zeros((n, model.system.dim, width), dtype=np.intp)
+        rows: list[tuple[tuple[int, int, float], ...]] = []
+        for i, stage in enumerate(realized.stages):
             q = stage.ancilla_state.populations
-            self.anc_cum.append(np.cumsum(q).tolist())
-            self.log_q.append([math.log(v) if v > 0 else -math.inf for v in q])
+            dim = len(q)
+            self.anc_cum[i, :dim] = np.cumsum(q)
+            self.log_q[i, :dim] = _logs(q)
             levels = stage.spectrum.levels
-            self.anc_heat_id.append(
-                [[heat_id(e_out - e_in) for e_out in levels] for e_in in levels]
-            )
-            self.rows.append(
-                {
-                    member_in: (
-                        np.cumsum([w for _, _, w in row]).tolist(),
-                        row,
-                        [math.log(w) for _, _, w in row],
-                    )
-                    for member_in, row in stage.outcomes.items()
-                }
-            )
+            anc_heat_id[i, :dim, :dim] = [
+                [heat_id(e_out - e_in) for e_out in levels] for e_in in levels
+            ]
+            for (alpha, n_in), outcomes in stage.outcomes.items():
+                self.row[i, alpha, n_in] = len(rows)
+                rows.append(outcomes)
+
+        span = max(len(outcomes) for outcomes in rows)
+        self.row_len = np.array([len(outcomes) for outcomes in rows])
+        self.row_cum = np.full((len(rows), span), np.inf)
+        self.row_alpha = np.zeros((len(rows), span), dtype=np.intp)
+        self.row_n_out = np.zeros((len(rows), span), dtype=np.intp)
+        self.row_log = np.zeros((len(rows), span))
+        for r, outcomes in enumerate(rows):
+            k = len(outcomes)
+            weights = [w for _, _, w in outcomes]
+            self.row_cum[r, :k] = np.cumsum(weights)
+            self.row_alpha[r, :k] = [a for a, _, _ in outcomes]
+            self.row_n_out[r, :k] = [n_out for _, n_out, _ in outcomes]
+            self.row_log[r, :k] = _logs(weights)
 
         # Ids are handed out in insertion order, so position is the id.
-        self.heat_fraction: list[Fraction] = list(registry)
-        self.heat_value = [float(value) for value in self.heat_fraction]
+        self.heat_fraction: tuple[Fraction, ...] = tuple(registry)
+        self.heat_value = np.array([float(value) for value in self.heat_fraction])
+        self.heat_text = [format_rational(value) for value in self.heat_fraction]
+        self.code_dtype = np.min_scalar_type(len(registry) - 1)
+        self.sys_heat_id = np.array(sys_heat_id, dtype=self.code_dtype)
+        self.anc_heat_id = anc_heat_id.astype(self.code_dtype)
+        self.level_dtype = np.min_scalar_type(model.system.dim - 1)
+        self.pair_dtype = np.min_scalar_type(width * width - 1)
+        self.pairs = [(n_in, n_out) for n_in in range(width) for n_out in range(width)]
 
 
 @lru_cache(maxsize=64)
@@ -169,67 +219,147 @@ def _tables(model: ModelConfig) -> _SamplerTables:
     return _SamplerTables(model)
 
 
-def _pick(cum: list[float], u: float) -> int:
-    idx = bisect_right(cum, u)
-    return idx if idx < len(cum) else len(cum) - 1
+def _pick(cum: np.ndarray, length, u: np.ndarray) -> np.ndarray:
+    """Per shot, the count of CDF entries ``<= u`` clamped to ``length - 1``.
+
+    That is ``bisect_right`` on each (padded) row; comparing the floats
+    themselves, rather than searching rows offset into one array, keeps
+    every pick exact.
+    """
+    return np.minimum((cum <= u[:, None]).sum(axis=1), length - 1)
 
 
-def _draw_record(tables: _SamplerTables, rng: np.random.Generator) -> TrajectoryRecord:
-    random = rng.random
-    alpha = _pick(tables.p0_cum, random())
-    alphas = [alpha]
-    pairs: list[tuple[int, int]] = []
-    heat_ids: list[int] = []
+def _advance(tables: _SamplerTables, u: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Advance the shots whose uniforms are the rows of ``u`` through every collision.
+
+    Column 0 picks the initial level; columns ``1 + 2i`` and ``2 + 2i`` pick
+    the ancilla level and the jump of collision ``i``.  The float sums run
+    in the same order, with the same operations, as a shot-by-shot loop.
+    Returns per-shot arrays: system levels, ancilla (in, out) pair codes,
+    heat ids, sigma and the log path probability.
+    """
+    k, n = len(u), tables.n
+    alphas = np.empty((k, n + 1), dtype=tables.level_dtype)
+    pair_codes = np.empty((k, n), dtype=tables.pair_dtype)
+    ids = np.empty((k, n), dtype=tables.code_dtype)
+    alpha = _pick(tables.p0_cum, len(tables.p0_cum), u[:, 0])
+    alphas[:, 0] = alpha
     log_p = tables.log_p0[alpha]
-    sigma = 0.0
+    sigma = np.zeros(k)
     sigma_log_form = tables.log_p0[alpha]
-    for i in range(tables.n):
-        n_in = _pick(tables.anc_cum[i], random())
-        cum, outcomes, logs = tables.rows[i][(alpha, n_in)]
-        j = _pick(cum, random())
-        alpha_next, n_out, _ = outcomes[j]
-        hid = tables.sys_heat_id[alpha][alpha_next]
-        if hid != tables.anc_heat_id[i][n_in][n_out]:
+    heats_agree = np.ones(k, dtype=bool)
+    with np.errstate(invalid="ignore"):  # -inf logs of empty levels, as with floats
+        for i in range(n):
+            n_in = _pick(tables.anc_cum[i], tables.anc_dim[i], u[:, 1 + 2 * i])
+            row = tables.row[i, alpha, n_in]
+            j = _pick(tables.row_cum[row], tables.row_len[row], u[:, 2 + 2 * i])
+            alpha_next = tables.row_alpha[row, j]
+            n_out = tables.row_n_out[row, j]
+            hid = tables.sys_heat_id[alpha, alpha_next]
+            heats_agree &= hid == tables.anc_heat_id[i, n_in, n_out]
+            log_q = tables.log_q[i]
+            sigma += tables.beta_diff[i] * tables.heat_value[hid]
+            sigma_log_form += log_q[n_in] - log_q[n_out]
+            log_p += log_q[n_in] + tables.row_log[row, j]
+            ids[:, i] = hid
+            pair_codes[:, i] = n_in * tables.width + n_out
+            alphas[:, i + 1] = alpha_next
+            alpha = alpha_next
+        sigma_log_form -= tables.log_p0[alpha]
+        failed = np.flatnonzero(
+            ~heats_agree | (np.abs(sigma - sigma_log_form) > SIGMA_CONSISTENCY_TOL)
+        )
+    if failed.size:
+        # The first failing shot decides the message, as a shot-order loop would.
+        shot = failed[0]
+        if not heats_agree[shot]:
             raise ConsistencyError(
                 "system-side and ancilla-side heats disagree on a sampled jump"
             )
-        sigma += tables.beta_diff[i] * tables.heat_value[hid]
-        sigma_log_form += tables.log_q[i][n_in] - tables.log_q[i][n_out]
-        log_p += tables.log_q[i][n_in] + logs[j]
-        heat_ids.append(hid)
-        pairs.append((n_in, n_out))
-        alphas.append(alpha_next)
-        alpha = alpha_next
-    sigma_log_form -= tables.log_p0[alpha]
-    if abs(sigma - sigma_log_form) > SIGMA_CONSISTENCY_TOL:
         raise ConsistencyError(
-            f"entropy production mismatch: heat form {sigma!r}, "
-            f"log form {sigma_log_form!r}"
+            f"entropy production mismatch: heat form {float(sigma[shot])!r}, "
+            f"log form {float(sigma_log_form[shot])!r}"
         )
-    return TrajectoryRecord(
-        trajectory=AugmentedTrajectory(tuple(alphas), tuple(pairs)),
-        heats=tuple(tables.heat_fraction[h] for h in heat_ids),
-        sigma=sigma,
-        log_path_probability=log_p,
-    )
+    return alphas, pair_codes, ids, sigma, log_p
+
+
+def _heat_ids(tables: _SamplerTables, code: bytes) -> memoryview:
+    """The heat ids packed in a record's code, as ints."""
+    return memoryview(code).cast(tables.code_dtype.char)
+
+
+def _records(
+    tables: _SamplerTables,
+    alphas: np.ndarray,
+    pair_codes: np.ndarray,
+    ids: np.ndarray,
+    sigma: np.ndarray,
+    log_p: np.ndarray,
+) -> Iterator[TrajectoryRecord]:
+    """One record per row of :func:`_advance`'s arrays, read cell by cell."""
+    n = tables.n
+    levels = memoryview(alphas.reshape(-1))
+    moves = memoryview(pair_codes.reshape(-1))
+    codes = ids.tobytes()
+    stride = ids.itemsize * n
+    pairs, values = tables.pairs, tables.heat_fraction
+    for s, (sig, log_path) in enumerate(zip(sigma.tolist(), log_p.tolist())):
+        code = codes[s * stride : (s + 1) * stride]
+        record = TrajectoryRecord(
+            trajectory=AugmentedTrajectory(
+                tuple(levels[s * (n + 1) : (s + 1) * (n + 1)]),
+                tuple(map(pairs.__getitem__, moves[s * n : (s + 1) * n])),
+            ),
+            heats=tuple(map(values.__getitem__, _heat_ids(tables, code))),
+            sigma=sig,
+            log_path_probability=log_path,
+        )
+        object.__setattr__(record, "heat_code", (tables, code))  # frozen, not in __init__
+        yield record
+
+
+def _heat_text(record: TrajectoryRecord) -> list[str]:
+    """The ``"num/den"`` form of a sampled record's heats, read by heat id."""
+    tables, code = record.heat_code
+    return list(map(tables.heat_text.__getitem__, _heat_ids(tables, code)))
+
+
+def _block_uniforms(
+    streams: list[np.random.Generator], start: int, size: int, width: int
+) -> np.ndarray:
+    """Uniform rows of shots ``start .. start + size - 1``, shot ``j`` from stream ``j mod W``."""
+    workers = len(streams)
+    if workers == 1:  # filled in place, without a second block-sized buffer
+        return streams[0].random((size, width))
+    u = np.empty((size, width))
+    for w, rng in enumerate(streams):
+        first = (w - start) % workers  # block row of worker w's next shot
+        u[first::workers] = rng.random((len(range(first, size, workers)), width))
+    return u
 
 
 def sample_trajectory(model: ModelConfig, rng: np.random.Generator) -> AugmentedTrajectory:
     """Draw one augmented trajectory from the forward process."""
-    return _draw_record(_tables(model), rng).trajectory
+    tables = _tables(model)
+    shot = _advance(tables, rng.random((1, 1 + 2 * tables.n)))
+    return next(_records(tables, *shot)).trajectory
 
 
 def iter_trajectories(model: ModelConfig, config: SamplerConfig) -> Iterator[TrajectoryRecord]:
     """Generate ``config.shots`` records in shot order.
 
     Per-shot exact heat equivalence and the two entropy-production forms
-    are asserted on the fly; a failure raises ConsistencyError.
+    are checked for each block before its records are yielded; a failure
+    raises ConsistencyError.
     """
     tables = _tables(model)
     streams = [substream(config.master_seed, w) for w in range(config.worker_count)]
-    workers = config.worker_count
-    for shot in range(config.shots):
-        yield _draw_record(tables, streams[shot % workers])
+    width = 1 + 2 * tables.n
+    for start in range(0, config.shots, _BLOCK_SHOTS):
+        size = min(_BLOCK_SHOTS, config.shots - start)
+        # The uniforms are dropped once advanced, before records stream out.
+        block = _advance(tables, _block_uniforms(streams, start, size, width))
+        yield from _records(tables, *block)
 
 
 def heats_from_system_path(alphas: Iterable[int], system_spectrum) -> HeatKey:
@@ -382,20 +512,61 @@ def empirical_joint(
     records: Iterable[TrajectoryRecord], shots: int | None = None
 ) -> EmpiricalJoint:
     """Frequency estimate with exact keys and per-key standard errors."""
-    counts: dict[HeatKey, int] = {}
+    # Sampled records are counted on their compact heat code, and the
+    # Fraction key of each distinct code is built and hashed once, at the
+    # end.  Codes are only comparable within one model's tables; records of
+    # any other source, or built by hand, are counted on their Fraction key.
+    position: dict[bytes | HeatKey, int] = {}  # in order of first appearance
+    tallies: list[int] = []
+    source = None
     seen = 0
-    n_collisions = 0
     for record in records:
-        n_collisions = len(record.heats)
-        counts[record.heats] = counts.get(record.heats, 0) + 1
+        code = record.heat_code
+        if code is not None and (source is None or code[0] is source):
+            source, key = code
+        else:
+            key = record.heats
+        at = position.get(key)
+        if at is None:
+            position[key] = len(tallies)
+            tallies.append(1)
+        else:
+            tallies[at] += 1
         seen += 1
     total = shots if shots is not None else seen
     if total != seen:
         raise ValueError(f"received {seen} records, expected {total}")
     if total == 0:
         raise ValueError("need at least one record")
-    entries = {key: count / total for key, count in counts.items()}
-    stderr = {key: math.sqrt(p * (1.0 - p) / total) for key, p in entries.items()}
+    n_collisions = len(record.heats)
+    values = source.heat_fraction if source is not None else ()
+    keys = [
+        tuple(map(values.__getitem__, _heat_ids(source, key))) if isinstance(key, bytes) else key
+        for key in position
+    ]
+    del position  # before the entries are built, which bounds peak memory
+
+    entries = dict(zip(keys, [count / total for count in tallies]))
+    if len(entries) < len(keys):
+        # Records from several models (or built by hand) can share a heat
+        # tuple under different codes: merge their counts.
+        merged: dict[HeatKey, int] = {}
+        for key, count in zip(keys, tallies):
+            merged[key] = merged.get(key, 0) + count
+        keys, tallies = list(merged), list(merged.values())
+        entries = dict(zip(keys, [count / total for count in tallies]))
+
+    # dict.fromkeys on a dict reuses its stored hashes, so only keys whose
+    # count differs from the most common one are hashed again.
+    error = {}
+    for count in set(tallies):
+        p = count / total
+        error[count] = math.sqrt(p * (1.0 - p) / total)
+    common = Counter(tallies).most_common(1)[0][0]
+    stderr = dict.fromkeys(entries, error[common])
+    for key, count in zip(keys, tallies):
+        if count != common:
+            stderr[key] = error[count]
     return EmpiricalJoint(
         distribution=JointHeatDistribution(
             entries=entries, direction="forward", n_collisions=n_collisions

@@ -266,6 +266,14 @@ class TestDispatch:
         path = write_model(tmp_path, {"system": {"energies": ["0", "0"], "beta": 1}, "ancillas": []})
         assert dispatch(["verify", str(path)]) == 2
 
+    @pytest.mark.parametrize("flag, value", [("--shots", "0"), ("--workers", "0"), ("--seed", "-1")])
+    def test_sample_flag_out_of_range_exits_2(self, tmp_path, capsys, flag, value):
+        path = write_model(tmp_path, RUNNING_EXAMPLE)
+        assert dispatch(["sample", str(path), flag, value]) == 2
+        err = capsys.readouterr().err
+        assert f"error: argument {flag}: must be at least" in err
+        assert "Traceback" not in err
+
     def test_cap_flag_enforced(self, tmp_path):
         path = write_model(tmp_path, CHAIN_DOCUMENT)
         assert dispatch(["exact", str(path), "--cap", "3"]) == 2

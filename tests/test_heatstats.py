@@ -1,5 +1,6 @@
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from heatchain import (
     AncillaSpec,
     EnumerationCapError,
+    JointHeatDistribution,
     ModelConfig,
     Spectrum,
     UnitarySpec,
@@ -358,7 +360,38 @@ class TestPartialDecomposition:
             verify_partial_decomposition(resonant_model([2.0]))
 
 
+def reference_csv(dist, include_exact):
+    """CSV rows sorted on the Fraction tuples themselves, formatted cell by cell."""
+    n = dist.n_collisions
+    header = [f"Q_{i}" for i in range(1, n + 1)] + ["probability"]
+    if include_exact:
+        header += [f"Q_{i}_exact" for i in range(1, n + 1)]
+    lines = [",".join(header)]
+    for key, prob in dist.items_sorted():
+        row = [format(float(q), ".12g") for q in key] + [repr(prob)]
+        if include_exact:
+            row += [f"{q.numerator}/{q.denominator}" for q in key]
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
 class TestSerialization:
+    @pytest.mark.parametrize("include_exact", [False, True])
+    @pytest.mark.parametrize("distinct", [3, 300])
+    def test_csv_matches_fraction_sorted_reference(self, distinct, include_exact):
+        # 300 distinct values need two-byte rank keys.  Half of the keys
+        # share Fraction objects, half hold fresh equal copies.
+        rng = random.Random(distinct)
+        values = [Fraction(k - distinct // 2, 7) for k in range(distinct)]
+        entries = {}
+        while len(entries) < 500:
+            key = tuple(rng.choice(values) for _ in range(8))
+            if rng.random() < 0.5:
+                key = tuple(Fraction(q.numerator, q.denominator) for q in key)
+            entries[key] = rng.random()
+        dist = JointHeatDistribution(entries=entries, direction="forward", n_collisions=8)
+        assert distribution_to_csv(dist, include_exact) == reference_csv(dist, include_exact)
+
     def test_csv_layout(self):
         dist = exact_forward_joint(resonant_model([2.0]))
         text = distribution_to_csv(dist, include_exact=True)

@@ -1,5 +1,9 @@
+import copy
+import dataclasses
 import itertools
 import math
+from bisect import bisect_right
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +15,7 @@ from heatchain import (
     ModelConfig,
     SamplerConfig,
     Spectrum,
+    TrajectoryRecord,
     UnitarySpec,
     ancilla_post_state,
     average_entropy_production,
@@ -26,6 +31,8 @@ from heatchain import (
     summarize_samples,
     total_variation,
 )
+from heatchain import sampler
+from heatchain.sampler import AugmentedTrajectory
 from heatchain.streams import substream
 
 # Frozen from the brute-force post-collision sum over the jump tensor for
@@ -307,3 +314,227 @@ class TestSamplerConfig:
             SamplerConfig(shots=0)
         with pytest.raises(ValueError):
             SamplerConfig(shots=1, worker_count=0)
+
+
+# ---------------------------------------------------------------------------
+# Reference oracle: the shot-by-shot sampler, an independent slow route that
+# the block sampler must reproduce record for record and bit for bit.
+
+
+class ReferenceTables:
+    """Per-collision lookup lists, built straight from the realized model."""
+
+    def __init__(self, model: ModelConfig) -> None:
+        realized = realize_model(model)
+        self.n = model.n_collisions
+        self.beta_diff = [anc.beta - model.system_beta for anc in model.ancillas]
+        p0 = realized.system_state.populations
+        self.p0_cum = np.cumsum(p0).tolist()
+        self.log_p0 = [math.log(p) if p > 0 else -math.inf for p in p0]
+        registry: dict[Fraction, int] = {}
+
+        def heat_id(value: Fraction) -> int:
+            return registry.setdefault(value, len(registry))
+
+        levels = model.system.levels
+        self.sys_heat_id = [[heat_id(e_a - e_b) for e_b in levels] for e_a in levels]
+        self.anc_cum, self.log_q, self.anc_heat_id, self.rows = [], [], [], []
+        for stage in realized.stages:
+            q = stage.ancilla_state.populations
+            self.anc_cum.append(np.cumsum(q).tolist())
+            self.log_q.append([math.log(v) if v > 0 else -math.inf for v in q])
+            anc_levels = stage.spectrum.levels
+            self.anc_heat_id.append(
+                [[heat_id(e_out - e_in) for e_out in anc_levels] for e_in in anc_levels]
+            )
+            self.rows.append(
+                {
+                    member_in: (
+                        np.cumsum([w for _, _, w in row]).tolist(),
+                        row,
+                        [math.log(w) for _, _, w in row],
+                    )
+                    for member_in, row in stage.outcomes.items()
+                }
+            )
+        self.heat_fraction = list(registry)
+        self.heat_value = [float(value) for value in self.heat_fraction]
+
+
+def reference_pick(cum, u):
+    idx = bisect_right(cum, u)
+    return idx if idx < len(cum) else len(cum) - 1
+
+
+def reference_record(tables: ReferenceTables, rng) -> TrajectoryRecord:
+    random = rng.random
+    alpha = reference_pick(tables.p0_cum, random())
+    alphas, pairs, heat_ids = [alpha], [], []
+    log_p = tables.log_p0[alpha]
+    sigma = 0.0
+    sigma_log_form = tables.log_p0[alpha]
+    for i in range(tables.n):
+        n_in = reference_pick(tables.anc_cum[i], random())
+        cum, outcomes, logs = tables.rows[i][(alpha, n_in)]
+        j = reference_pick(cum, random())
+        alpha_next, n_out, _ = outcomes[j]
+        hid = tables.sys_heat_id[alpha][alpha_next]
+        if hid != tables.anc_heat_id[i][n_in][n_out]:
+            raise ConsistencyError(
+                "system-side and ancilla-side heats disagree on a sampled jump"
+            )
+        sigma += tables.beta_diff[i] * tables.heat_value[hid]
+        sigma_log_form += tables.log_q[i][n_in] - tables.log_q[i][n_out]
+        log_p += tables.log_q[i][n_in] + logs[j]
+        heat_ids.append(hid)
+        pairs.append((n_in, n_out))
+        alphas.append(alpha_next)
+        alpha = alpha_next
+    sigma_log_form -= tables.log_p0[alpha]
+    if abs(sigma - sigma_log_form) > sampler.SIGMA_CONSISTENCY_TOL:
+        raise ConsistencyError(
+            f"entropy production mismatch: heat form {sigma!r}, "
+            f"log form {sigma_log_form!r}"
+        )
+    return TrajectoryRecord(
+        trajectory=AugmentedTrajectory(tuple(alphas), tuple(pairs)),
+        heats=tuple(tables.heat_fraction[h] for h in heat_ids),
+        sigma=sigma,
+        log_path_probability=log_p,
+    )
+
+
+def reference_trajectories(tables: ReferenceTables, config: SamplerConfig):
+    streams = [substream(config.master_seed, w) for w in range(config.worker_count)]
+    for shot in range(config.shots):
+        yield reference_record(tables, streams[shot % config.worker_count])
+
+
+def bits(record: TrajectoryRecord):
+    return (
+        record.trajectory.alphas,
+        record.trajectory.ancilla_pairs,
+        record.heats,
+        record.sigma.hex(),
+        record.log_path_probability.hex(),
+    )
+
+
+def permutation_model() -> ModelConfig:
+    levels = Spectrum.from_values(["0", "1", "2"])
+    ancillas = tuple(
+        AncillaSpec(levels, beta, UnitarySpec.permutation(shift=1)) for beta in (0.7, 1.9)
+    )
+    return ModelConfig(system=levels, system_beta=1.0, ancillas=ancillas, master_seed=0)
+
+
+ORACLE_MODELS = {
+    "resonant": lambda: resonant_model([0.5, 1.5, 2.5], seed=3),
+    "full_swap_zero_branches": lambda: resonant_model([0.5, 2.0], theta=math.pi / 2),
+    "haar_d3": lambda: haar_model(["0", "1", "2"], ["0", "1", "2"], (0.5, 1.5, 2.5), seed=3),
+    "haar_d4": lambda: haar_model(["0", "1", "2", "3"], ["0", "1", "2", "3"], (0.6, 1.7), seed=8),
+    "identity": lambda: identity_model(3),
+    "permutation": permutation_model,
+}
+BLOCK = sampler._BLOCK_SHOTS
+SHOT_COUNTS = (1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7)
+
+
+class TestBlockSamplerMatchesReference:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
+    def test_record_by_record(self, name, workers):
+        model = ORACLE_MODELS[name]()
+        tables = ReferenceTables(model)
+        for shots in SHOT_COUNTS:
+            config = SamplerConfig(shots=shots, master_seed=shots + 11, worker_count=workers)
+            fast = [bits(r) for r in iter_trajectories(model, config)]
+            slow = [bits(r) for r in reference_trajectories(tables, config)]
+            assert len(fast) == shots
+            assert fast == slow
+
+    def test_pick_is_bisect_right_with_clamp(self):
+        # Ties with a CDF entry and draws past an entry sum below 1 are too
+        # rare to meet in sampled streams, so they are pinned here.
+        cum = np.array([0.25, 0.5, 0.5, 0.875])
+        u = np.array([0.0, 0.25, 0.3, 0.5, 0.6, 0.875, 0.9])
+        expected = [reference_pick(cum.tolist(), x) for x in u]
+        assert sampler._pick(cum, len(cum), u).tolist() == expected
+        padded = np.array([[0.5, 0.875, np.inf], [0.25, 0.5, 0.75]])
+        lengths = np.array([2, 3])
+        u = np.array([0.875, 0.9])
+        assert sampler._pick(padded, lengths, u).tolist() == [1, 2]
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
+    def test_sample_trajectory_consumes_one_shot_of_uniforms(self, name):
+        model = ORACLE_MODELS[name]()
+        rng = substream(21)
+        trajectory = sample_trajectory(model, rng)
+        expected = substream(21)
+        expected.random(1 + 2 * model.n_collisions)
+        # The Philox state holds small arrays; their repr compares every entry.
+        assert repr(rng.bit_generator.state) == repr(expected.bit_generator.state)
+        assert trajectory == reference_record(ReferenceTables(model), substream(21)).trajectory
+
+
+class TestVectorizedChecks:
+    """Corrupted tables must trip each per-shot check with its message."""
+
+    CONFIG = SamplerConfig(shots=600, master_seed=5, worker_count=2)
+
+    def failures(self, monkeypatch, corrupt):
+        model = resonant_model([0.5, 2.5], seed=4)
+        tables = copy.copy(sampler._tables(model))
+        reference = ReferenceTables(model)
+        corrupt(tables, reference)
+        monkeypatch.setattr(sampler, "_tables", lambda _: tables)
+        with pytest.raises(ConsistencyError) as fast:
+            list(iter_trajectories(model, self.CONFIG))
+        with pytest.raises(ConsistencyError) as slow:
+            list(reference_trajectories(reference, self.CONFIG))
+        return str(fast.value), str(slow.value)
+
+    def test_swapped_ancilla_heat_id(self, monkeypatch):
+        def corrupt(tables, reference):
+            tables.anc_heat_id = tables.anc_heat_id.copy()
+            ids = tables.anc_heat_id[0]
+            ids[0, 1], ids[1, 0] = ids[1, 0], ids[0, 1]
+            ref = reference.anc_heat_id[0]
+            ref[0][1], ref[1][0] = ref[1][0], ref[0][1]
+
+        fast, slow = self.failures(monkeypatch, corrupt)
+        assert fast == slow == "system-side and ancilla-side heats disagree on a sampled jump"
+
+    def test_perturbed_log_q(self, monkeypatch):
+        def corrupt(tables, reference):
+            tables.log_q = tables.log_q.copy()
+            tables.log_q[1, 1] += 1e-6
+            reference.log_q[1][1] += 1e-6
+
+        fast, slow = self.failures(monkeypatch, corrupt)
+        assert fast == slow
+        assert fast.startswith("entropy production mismatch: heat form ")
+
+
+class TestMixedRecordStreams:
+    def test_counts_merge_across_models_and_hand_built_records(self):
+        # Hand-built and replaced records carry no heat code; they must be
+        # counted on their own heats, merged with equal sampled keys.
+        first = list(iter_trajectories(resonant_model([0.5, 2.5]), SamplerConfig(300, 1)))
+        second = list(iter_trajectories(resonant_model([1.5, 0.7]), SamplerConfig(200, 2)))
+        by_hand = [
+            TrajectoryRecord(r.trajectory, r.heats, r.sigma, r.log_path_probability)
+            for r in first[:50]
+        ]
+        replaced = [dataclasses.replace(r, heats=r.heats[::-1]) for r in first[:30]]
+        records = first + second + by_hand + replaced
+        result = empirical_joint(records)
+        expected = Counter(r.heats for r in records)
+        total = len(records)
+        assert list(result.distribution.entries.items()) == [
+            (key, count / total) for key, count in expected.items()
+        ]
+        assert list(result.stderr.items()) == [
+            (key, math.sqrt(count / total * (1.0 - count / total) / total))
+            for key, count in expected.items()
+        ]
