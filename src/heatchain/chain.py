@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Mapping, Sequence
 
@@ -209,6 +210,34 @@ class RealizedModel:
     @property
     def propagators(self) -> tuple[Propagator, ...]:
         return tuple(stage.propagator for stage in self.stages)
+
+    @cached_property
+    def heat_values(self) -> tuple[Fraction, ...]:
+        """The heat-id registry: every system and ancilla level difference, ascending.
+
+        Id order is value order, and the registry is closed under negation,
+        so the id of ``-Q`` is ``len(heat_values) - 1`` minus the id of ``Q``.
+        """
+        spectra = [self.config.system, *(stage.spectrum for stage in self.stages)]
+        return tuple(sorted({a - b for spec in spectra for a in spec.levels for b in spec.levels}))
+
+    def _difference_ids(self, levels: Sequence[Fraction]) -> np.ndarray:
+        """``[a, b]`` is the heat id of ``levels[a] - levels[b]``."""
+        lookup = {q: i for i, q in enumerate(self.heat_values)}
+        return np.array(
+            [[lookup[a - b] for b in levels] for a in levels],
+            dtype=np.min_scalar_type(len(lookup) - 1),
+        )
+
+    @cached_property
+    def system_heat_ids(self) -> np.ndarray:
+        """``[a, b]`` is the heat id of the system drop ``a -> b``, ``E_a - E_b``."""
+        return self._difference_ids(self.config.system.levels)
+
+    @cached_property
+    def ancilla_heat_ids(self) -> tuple[np.ndarray, ...]:
+        """Per collision, ``[n, n']`` is the heat id of the ancilla move ``n -> n'``, ``E_n' - E_n``."""
+        return tuple(self._difference_ids(stage.spectrum.levels).T for stage in self.stages)
 
 
 @lru_cache(maxsize=128)

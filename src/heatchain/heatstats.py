@@ -17,13 +17,30 @@ floating aliasing.  Probabilities are floats; entries whose accumulated
 mass falls below ``PRUNE_THRESHOLD`` are dropped and their total is kept in
 ``pruned_mass``.
 
-There are two enumeration routes.  The system-path route sweeps the chain
-of per-collision propagators, in collision order for the forward law and
-reversed for the backward one.  The via-ancilla route sweeps augmented
-paths through each collision's jump table (``CollisionStage.outcomes``)
-and reads heats off the ancillas.  All three identity checks share one
-log-ratio loop, ``_check_log_ratio``, and differ only in their right-hand
-sides.
+Coded form
+----------
+Every law is carried as codes: an ascending registry of its distinct heat
+values, a ``(K, N)`` array of small-int heat ids (id order is value order)
+and a mass array, in insertion order.  Enumerated laws use their model's
+registry, ``RealizedModel.heat_values``, which is closed under negation, so
+the id of ``-Q`` is ``R - 1`` minus the id of ``Q``.  The public
+Fraction-keyed ``entries`` dict of an enumerated law is built only when a
+caller first touches it.  Hand-built, parsed and empirical laws are encoded
+once, on first use, by ranking each distinct Fraction object.  Laws on
+different registries (the single collisions, the truncated chain) are
+matched by translating their registries by value.
+
+There are two enumeration routes, run by one numpy layer sweep
+(``_sweep``).  The system-path route steps through the chain of
+per-collision propagators, in collision order for the forward law and
+reversed for the backward one.  The via-ancilla route steps through each
+collision's jump table (``CollisionStage.outcomes``) and reads heats off
+the ancillas.  Paths come out in depth-first order and every weight and
+sum is formed in that order, so the laws are bit-identical to a
+path-by-path loop.  Enumeration caps apply to the exact number of nonzero
+paths, counted by an integer dynamic program over system levels before
+anything is built.  All three identity checks share one log-ratio loop,
+``_check_log_ratio``, and differ only in their right-hand sides.
 """
 
 from __future__ import annotations
@@ -32,11 +49,12 @@ import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Mapping, Sequence
+from itertools import chain
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .chain import realize_model
+from .chain import RealizedModel, realize_model
 from .model import (
     EnumerationCapError,
     ModelConfig,
@@ -80,6 +98,21 @@ SUPPORT_FLOOR = 1e-13
 
 HeatKey = tuple[Fraction, ...]
 
+_CODE_LIMIT = 2**63  # int64 key codes stay below this
+_CSV_BLOCK_ROWS = 512
+
+
+class _Codes(NamedTuple):
+    """A law in coded form: row ``k`` of ``ids`` is key ``k``, with mass ``masses[k]``."""
+
+    values: tuple[Fraction, ...]  # ascending registry: heat id -> heat value
+    ids: np.ndarray  # (K, N) heat ids
+    masses: np.ndarray  # (K,) float64
+
+
+def _id_dtype(size: int) -> np.dtype:
+    return np.min_scalar_type(max(size - 1, 0))
+
 
 @dataclass(frozen=True, eq=False)
 class JointHeatDistribution:
@@ -94,86 +127,295 @@ class JointHeatDistribution:
         if self.direction not in ("forward", "backward"):
             raise ModelError(f"unknown direction {self.direction!r}")
 
+    def __getattr__(self, name: str):
+        # Reached only for attributes never set: a law built from codes
+        # builds its Fraction-keyed entries when they are first touched.
+        codes = self.__dict__.get("_codes")
+        if name != "entries" or codes is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        values = codes.values
+        keys = [tuple(map(values.__getitem__, row)) for row in codes.ids.tolist()]
+        entries = dict(zip(keys, codes.masses.tolist()))
+        object.__setattr__(self, "entries", entries)
+        return entries
+
     def probability(self, key: HeatKey) -> float:
         return self.entries.get(tuple(key), 0.0)
 
     def total_mass(self) -> float:
-        return float(sum(self.entries.values()))
+        return float(sum(_codes(self).masses.tolist()))
 
     def items_sorted(self) -> list[tuple[HeatKey, float]]:
-        return sorted(self.entries.items())
+        values, ids, masses = _codes(self)
+        order = _key_order(ids)
+        return [
+            (tuple(map(values.__getitem__, row)), mass)
+            for row, mass in zip(ids[order].tolist(), masses[order].tolist())
+        ]
 
     def __len__(self) -> int:
-        return len(self.entries)
+        codes = self.__dict__.get("_codes")  # a hand-built law is not encoded to be counted
+        return len(self.entries) if codes is None else len(codes.masses)
 
 
-def _finalize(
-    accum: dict[HeatKey, float], direction: str, n_collisions: int
+def _coded_law(
+    codes: _Codes, direction: str, n_collisions: int, pruned_mass: float
 ) -> JointHeatDistribution:
-    pruned = 0.0
-    kept: dict[HeatKey, float] = {}
-    for key, mass in accum.items():
-        if mass < PRUNE_THRESHOLD:
-            pruned += mass
-        else:
-            kept[key] = mass
-    return JointHeatDistribution(
-        entries=kept, direction=direction, n_collisions=n_collisions, pruned_mass=pruned
-    )
+    """A law that holds only its codes; ``entries`` is built on first touch."""
+    dist = object.__new__(JointHeatDistribution)
+    for name, value in (
+        ("_codes", codes),
+        ("direction", direction),
+        ("n_collisions", n_collisions),
+        ("pruned_mass", pruned_mass),
+    ):
+        object.__setattr__(dist, name, value)
+    return dist
 
 
-def _accumulate_paths(
-    initial: np.ndarray,
-    matrices: Sequence[np.ndarray],
-    heat_of_step: list[list[Fraction]],
-) -> dict[HeatKey, float]:
-    """Depth-first sweep over all chain paths, folding weights onto heat keys.
+def _codes(dist: JointHeatDistribution) -> _Codes:
+    """The law's codes, encoding a Fraction-keyed law once on first use.
 
-    ``matrices[i][next, cur]`` weights the step, ``heat_of_step[cur][next]``
-    labels it.  Zero-weight branches are skipped.  An explicit stack keeps
-    long chains clear of the recursion limit; siblings are pushed in
-    reverse, so starts and then successors are visited in ascending order.
+    Keys share a few Fraction objects, so every distinct object is ranked
+    once and cells are looked up by object identity.
     """
-    # children[i][cur] = (next, weight, heat) of every nonzero step, reversed.
-    children = [
-        [
-            [(nxt, float(w), heat_of_step[cur][nxt]) for nxt, w in enumerate(col) if w != 0.0][::-1]
-            for cur, col in enumerate(m.T)
+    codes = dist.__dict__.get("_codes")
+    if codes is None:
+        entries = dist.entries
+        objects = {id(q): q for key in entries for q in key}
+        values = tuple(sorted(set(objects.values())))
+        rank = {q: r for r, q in enumerate(values)}
+        id_of = {i: rank[q] for i, q in objects.items()}
+        width = len(next(iter(entries))) if entries else dist.n_collisions
+        flat = np.fromiter(
+            map(id_of.__getitem__, map(id, chain.from_iterable(entries))),
+            dtype=_id_dtype(len(values)),
+        )
+        masses = np.fromiter(entries.values(), dtype=float, count=len(entries))
+        codes = _Codes(values, flat.reshape(len(entries), width), masses)
+        object.__setattr__(dist, "_codes", codes)
+    return codes
+
+
+def _key_order(ids: np.ndarray) -> np.ndarray:
+    """The permutation that sorts id rows by key: ids order as their values do."""
+    return np.lexsort(ids.T[::-1]) if ids.shape[1] else np.arange(len(ids))
+
+
+# ---------------------------------------------------------------------------
+# Key codes: one int64 per key, built column by column.
+
+
+def _push_digit(
+    code: np.ndarray, bound: int, radix: int, digit: np.ndarray
+) -> tuple[np.ndarray, int]:
+    """Append one heat id to every prefix code, in place; codes stay below the returned bound.
+
+    Codes are re-ranked with ``np.unique`` before they could overflow;
+    ranks keep both equality and lexicographic order of the prefixes.
+    """
+    if bound * radix >= _CODE_LIMIT:
+        code = np.unique(code, return_inverse=True)[1].astype(np.int64)
+        bound = int(code.max(initial=0)) + 1
+    code *= radix
+    code += digit
+    return code, bound * radix
+
+
+def _row_codes(ids: np.ndarray, radix: int) -> np.ndarray:
+    """One int64 per row, equal exactly when the rows are equal."""
+    code, bound = np.zeros(len(ids), dtype=np.int64), 1
+    for column in ids.T:
+        code, bound = _push_digit(code, bound, radix, column)
+    return code
+
+
+def _first_occurrence(code: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group of each element, numbered in order of first occurrence, and each group's first element."""
+    keys, first = np.unique(code, return_index=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return rank[np.searchsorted(keys, code)], first[order]
+
+
+def _lookup(rows: np.ndarray, table: np.ndarray, radix: int) -> np.ndarray:
+    """Index of each of ``rows`` among the (distinct) rows of ``table``, or -1."""
+    if rows.shape[1] != table.shape[1] or not len(table):
+        return np.full(len(rows), -1)
+    codes = _row_codes(np.concatenate([rows, table]), radix)
+    probe, keys = codes[: len(rows)], codes[len(rows) :]
+    order = np.argsort(keys)
+    at = np.minimum(np.searchsorted(keys[order], probe), len(keys) - 1)
+    return np.where(keys[order][at] == probe, order[at], -1)
+
+
+def _masses_at(masses: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``masses[index]``, with 0.0 where the index is -1."""
+    out = np.zeros(len(index))
+    hit = index >= 0
+    out[hit] = masses[index[hit]]
+    return out
+
+
+def _shared(*laws: JointHeatDistribution) -> tuple[tuple[Fraction, ...], list[np.ndarray]]:
+    """One registry for several laws, and every law's ids in it.
+
+    The registry is ascending and closed under negation, so negating an id
+    row is ``R - 1 - row``.  Laws already on one such registry pass
+    through; the others are translated by value.
+    """
+    codes = [_codes(law) for law in laws]
+    values = codes[0].values
+    closed = all(a == -b for a, b in zip(values, reversed(values)))
+    if closed and all(c.values is values or c.values == values for c in codes[1:]):
+        return values, [c.ids for c in codes]
+    union = {v for c in codes for v in c.values}
+    values = tuple(sorted(union | {-v for v in union}))
+    lookup = {v: i for i, v in enumerate(values)}
+    dtype = _id_dtype(len(values))
+    return values, [np.array([lookup[v] for v in c.values], dtype=dtype)[c.ids] for c in codes]
+
+
+def _negated_reversed(ids: np.ndarray, radix: int) -> np.ndarray:
+    """Partner rows ``(-Q_N, ..., -Q_1)`` on a registry closed under negation."""
+    return (radix - 1) - ids[:, ::-1] if radix else ids
+
+
+# ---------------------------------------------------------------------------
+# Enumeration: layer tables, exact path counts and the sweep.
+
+
+class _Layer(NamedTuple):
+    """One collision's nonzero steps, grouped by the system level they leave.
+
+    The steps out of level ``a`` are ``first[a] : first[a] + fan[a]``, in
+    table order.  A step's weight multiplies its ``factors`` left to right.
+    """
+
+    first: np.ndarray
+    fan: np.ndarray
+    level: np.ndarray  # system level after the step
+    heat: np.ndarray  # heat id of the step
+    factors: tuple[np.ndarray, ...]
+    moves: list[tuple[int, int]]  # ancilla (n, n') per step; empty on system routes
+
+
+def _system_layers(realized: RealizedModel, direction: str) -> list[_Layer]:
+    """Propagator columns, in collision order or reversed; a step drops ``a -> b``."""
+    stages = realized.stages if direction == "forward" else realized.stages[::-1]
+    heat = realized.system_heat_ids
+    layers = []
+    for stage in stages:
+        steps = stage.propagator.matrix.T  # [a, b] = M[b, a]
+        a, b = np.nonzero(steps)
+        fan = np.count_nonzero(steps, axis=1)
+        layers.append(
+            _Layer(np.cumsum(fan) - fan, fan, b.astype(np.min_scalar_type(len(steps) - 1)), heat[a, b], (steps[a, b],), [])
+        )
+    return layers
+
+
+def _ancilla_layers(realized: RealizedModel) -> list[_Layer]:
+    """Per collision, each occupied ancilla level ``n`` and then its jumps ``(alpha', n')``."""
+    layers = []
+    for stage, heat in zip(realized.stages, realized.ancilla_heat_ids):
+        steps = [
+            [
+                (a_out, heat[n_in, n_out], q, jump, (n_in, n_out))
+                for n_in, q in enumerate(stage.ancilla_state.populations.tolist())
+                if q != 0.0
+                for a_out, n_out, jump in stage.outcomes[(alpha, n_in)]
+            ]
+            for alpha in range(realized.config.system.dim)
         ]
-        for m in matrices
-    ]
-    accum: dict[HeatKey, float] = {}
-    key_buffer: list[Fraction] = [Fraction(0)] * len(matrices)
-    stack = [(0, start, float(p), None) for start, p in enumerate(initial) if p > 0.0][::-1]
-    while stack:
-        step, level, weight, heat = stack.pop()
-        if step:
-            key_buffer[step - 1] = heat
-        if step == len(matrices):
-            key = tuple(key_buffer)
-            accum[key] = accum.get(key, 0.0) + weight
-            continue
-        for nxt, w, q in children[step][level]:
-            stack.append((step + 1, nxt, weight * w, q))
-    return accum
+        fan = np.array([len(out) for out in steps], dtype=np.intp)
+        flat = [step for out in steps for step in out]
+        layers.append(
+            _Layer(
+                np.cumsum(fan) - fan,
+                fan,
+                np.array([s[0] for s in flat], dtype=np.min_scalar_type(len(steps) - 1)),
+                np.array([s[1] for s in flat], dtype=heat.dtype),
+                (np.array([s[2] for s in flat]), np.array([s[3] for s in flat])),
+                [s[4] for s in flat],
+            )
+        )
+    return layers
+
+
+def _check_cap(realized: RealizedModel, layers: list[_Layer], cap: int, route: str) -> None:
+    """Count the paths with no zero factor exactly, by a dynamic program over levels."""
+    counts = [int(p > 0.0) for p in realized.system_state.populations.tolist()]
+    for layer in layers:
+        reach = [0] * len(counts)
+        for a, (start, fan) in enumerate(zip(layer.first.tolist(), layer.fan.tolist())):
+            for b in layer.level[start : start + fan].tolist():
+                reach[b] += counts[a]
+        counts = reach
+    paths = sum(counts)
+    if paths > cap:
+        raise EnumerationCapError(f"{route} enumeration needs {paths} paths, cap is {cap}")
+
+
+def _children(layer: _Layer, level: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each path's steps, laid out contiguously in table order: parent path and step index."""
+    fan = layer.fan[level]
+    ends = np.cumsum(fan)
+    index = np.int32 if ends[-1:].sum() < 2**31 else np.intp  # narrow, while it fits
+    parent = np.repeat(np.arange(len(level), dtype=index), fan)
+    offset = (layer.first[level] - (ends - fan)).astype(index)
+    return parent, np.arange(len(parent), dtype=index) + np.repeat(offset, fan)
+
+
+def _sweep(realized: RealizedModel, layers: list[_Layer], direction: str) -> JointHeatDistribution:
+    """Enumerate every nonzero path one layer at a time and fold it onto its heat key.
+
+    Each path's children are laid out contiguously in table order, so the
+    paths stay in depth-first order (starts ascending, then successors in
+    table order) and each weight is multiplied left to right as a
+    path-by-path loop would.  ``np.bincount`` then adds the path weights
+    of each key in that order, with keys in order of first occurrence.
+    """
+    values = realized.heat_values
+    p0 = realized.system_state.populations
+    level = np.flatnonzero(p0 > 0.0)
+    weight = p0[level]
+    code, bound = np.zeros(len(level), dtype=np.int64), 1
+    trail = []  # per layer: each path's parent and the heat id of its step
+    for layer in layers:
+        parent, step = _children(layer, level)
+        weight = weight[parent]
+        for factor in layer.factors:
+            weight *= factor[step]
+        heat = layer.heat[step]
+        code, bound = _push_digit(code[parent], bound, len(values), heat)
+        level = layer.level[step]
+        trail.append((parent, heat))
+    del step, level  # before the grouping below, which peaks in memory
+
+    group, first = _first_occurrence(code)
+    masses = np.bincount(group, weights=weight, minlength=len(first))
+    ids = np.empty((len(first), len(layers)), dtype=_id_dtype(len(values)))
+    path = first
+    for i in range(len(layers) - 1, -1, -1):
+        parent, heat = trail[i]
+        ids[:, i] = heat[path]
+        path = parent[path]
+
+    low = masses < PRUNE_THRESHOLD
+    pruned = sum(masses[low].tolist(), 0.0)
+    if low.any():
+        ids, masses = ids[~low], masses[~low]
+    return _coded_law(_Codes(values, ids, masses), direction, len(layers), pruned)
 
 
 def _exact_joint(model: ModelConfig, cap: int, direction: str) -> JointHeatDistribution:
     """Enumerate every system path, with the stages in collision order or reversed."""
-    paths = model.system.dim ** (model.n_collisions + 1)
-    if paths > cap:
-        raise EnumerationCapError(
-            f"system-path enumeration needs {paths} paths, cap is {cap}"
-        )
     realized = realize_model(model)
-    stages = realized.stages if direction == "forward" else realized.stages[::-1]
-    levels = model.system.levels
-    accum = _accumulate_paths(
-        realized.system_state.populations,
-        [stage.propagator.matrix for stage in stages],
-        [[e_a - e_b for e_b in levels] for e_a in levels],  # heat of the drop a -> b
-    )
-    return _finalize(accum, direction, model.n_collisions)
+    layers = _system_layers(realized, direction)
+    _check_cap(realized, layers, cap, "system-path")
+    return _sweep(realized, layers, direction)
 
 
 def exact_forward_joint(
@@ -210,29 +452,28 @@ def iter_augmented_paths(
 
     The weight multiplies the initial thermal probability, each ancilla's
     thermal weight and the jump probability of each collision; zero-weight
-    branches are skipped.  Paths come in the same depth-first order as
-    :func:`_accumulate_paths` visits them, from an explicit stack.
+    branches are skipped.  Paths stream one at a time from an explicit
+    stack, in the depth-first order of the via-ancilla sweep.
     """
-    bound = math.prod(model.system.dim * anc.spectrum.dim**2 for anc in model.ancillas)
-    if bound > cap:
-        raise EnumerationCapError(
-            f"augmented-path enumeration bound is {bound} paths, cap is {cap}"
-        )
     realized = realize_model(model)
-    n = model.n_collisions
+    layers = _ancilla_layers(realized)
+    _check_cap(realized, layers, cap, "augmented-path")
+    n = len(layers)
 
-    # children[i][alpha] = (alpha', (n, n'), q(n), jump) per occupied n and outcome, reversed.
+    # children[i][alpha] = (alpha', (n, n'), q(n), jump) per step, reversed.
     children = [
         [
-            [
-                (a_out, (n_in, n_out), float(q), jump)
-                for n_in, q in enumerate(stage.ancilla_state.populations)
-                if q != 0.0
-                for a_out, n_out, jump in stage.outcomes[(alpha, n_in)]
-            ][::-1]
-            for alpha in range(model.system.dim)
+            list(
+                zip(
+                    layer.level[start : start + fan].tolist(),
+                    layer.moves[start : start + fan],
+                    layer.factors[0][start : start + fan].tolist(),
+                    layer.factors[1][start : start + fan].tolist(),
+                )
+            )[::-1]
+            for start, fan in zip(layer.first.tolist(), layer.fan.tolist())
         ]
-        for stage in realized.stages
+        for layer in layers
     ]
     alphas: list[int] = [0] * (n + 1)
     pairs: list[tuple[int, int]] = [(0, 0)] * n
@@ -259,18 +500,10 @@ def exact_forward_joint_via_ancilla_paths(
     path, which exercises an independent enumeration route; the result must
     agree entrywise with :func:`exact_forward_joint`.
     """
-    anc_heat = [
-        [[e_out - e_in for e_out in anc.spectrum.levels] for e_in in anc.spectrum.levels]
-        for anc in model.ancillas
-    ]
-
-    accum: dict[HeatKey, float] = {}
-    for _, pairs, weight in iter_augmented_paths(model, cap):
-        key = tuple(
-            anc_heat[i][n_in][n_out] for i, (n_in, n_out) in enumerate(pairs)
-        )
-        accum[key] = accum.get(key, 0.0) + weight
-    return _finalize(accum, "forward", model.n_collisions)
+    realized = realize_model(model)
+    layers = _ancilla_layers(realized)
+    _check_cap(realized, layers, cap, "augmented-path")
+    return _sweep(realized, layers, "forward")
 
 
 def marginalize(
@@ -291,15 +524,12 @@ def marginalize(
             raise ValueError("must keep at least one coordinate")
         if any(not 0 <= c < dist.n_collisions for c in coords):
             raise ValueError(f"coordinates {coords} out of range for N={dist.n_collisions}")
-    reduced: dict[HeatKey, float] = {}
-    for key, mass in dist.entries.items():
-        short = tuple(key[c] for c in coords)
-        reduced[short] = reduced.get(short, 0.0) + mass
-    return JointHeatDistribution(
-        entries=reduced,
-        direction=dist.direction,
-        n_collisions=len(coords),
-        pruned_mass=dist.pruned_mass,
+    values, ids, masses = _codes(dist)
+    kept = ids[:, list(coords)]
+    group, first = _first_occurrence(_row_codes(kept, len(values)))
+    reduced = np.bincount(group, weights=masses, minlength=len(first))
+    return _coded_law(
+        _Codes(values, kept[first], reduced), dist.direction, len(coords), dist.pruned_mass
     )
 
 
@@ -314,10 +544,6 @@ def single_collision_distribution(
     return exact_forward_joint(single_collision_model(model, i), cap)
 
 
-def _reversed_negated(key: HeatKey) -> HeatKey:
-    return tuple(-q for q in reversed(key))
-
-
 @dataclass(frozen=True)
 class FTReport:
     """Outcome of one fluctuation-theorem style identity check."""
@@ -329,42 +555,73 @@ class FTReport:
     passed: bool
 
 
+def _logs(masses: np.ndarray) -> np.ndarray:
+    # math.log, not np.log: the residuals must not depend on numpy's
+    # vectorized logarithm, whose last bit may differ.
+    return np.fromiter(map(math.log, masses.tolist()), dtype=float, count=len(masses))
+
+
+def _exponents(values: Sequence[Fraction], ids: np.ndarray, deltas: Sequence[float]) -> np.ndarray:
+    """``sum_i deltas[i] * Q_i`` per key, added column by column as a per-key loop would."""
+    heats = np.array([float(q) for q in values])
+    total = np.zeros(len(ids))
+    for d, column in zip(deltas, ids.T):
+        total += d * heats[column]
+    return total
+
+
+def _flip_log_ratio(values: Sequence[Fraction], ids: np.ndarray, masses: np.ndarray):
+    """Per heat id ``h`` of a one-collision law: ``log p(h) - log p(-h)``, and where both are nonzero."""
+    mass = np.zeros(len(values))
+    if ids.shape[1] == 1:
+        mass[ids[:, 0]] = masses
+    plus, minus = mass.tolist(), mass[::-1].tolist()
+    support = [p != 0.0 and m != 0.0 for p, m in zip(plus, minus)]
+    ratio = [math.log(p) - math.log(m) if s else 0.0 for p, m, s in zip(plus, minus, support)]
+    return np.array(ratio), np.array(support, dtype=bool)
+
+
 def _check_log_ratio(
-    forward: JointHeatDistribution,
-    backward: JointHeatDistribution,
-    rhs: Callable[[HeatKey], Sequence[float] | None],
+    values: Sequence[Fraction],
+    forward: np.ndarray,
+    p_fwd: np.ndarray,
+    backward: np.ndarray,
+    masses_bwd: np.ndarray,
+    terms: Sequence[np.ndarray],
+    supported: np.ndarray | bool,
     tolerance: float,
     *,
     strict_rhs: bool = False,
-    orphans: Sequence[HeatKey] = (),
+    orphans: np.ndarray | None = None,
 ) -> FTReport:
     """Compare ``log p_fwd - log p_bwd`` at each forward key with its partner.
 
-    ``rhs(key)`` gives the terms subtracted, in order, from the log ratio,
-    or None when a factor on the right has no support.  A key without a
-    partner or a right-hand side is a mismatch unless its mass could have
-    been pruned (``strict_rhs`` drops that allowance for the right-hand
-    side).  ``orphans`` are mismatches the caller found.
+    Keys are id rows on ``values`` (see :func:`_shared`).  ``terms`` are
+    per-key arrays subtracted, in order, from the log ratio, valid where
+    ``supported``; elsewhere a factor on the right has no support.  A key
+    without a partner or a right-hand side is a mismatch unless its mass
+    could have been pruned (``strict_rhs`` drops that allowance for the
+    right-hand side).  ``orphans`` are mismatch rows the caller found.
     """
-    worst = 0.0
-    checked = 0
-    mismatches = list(orphans)
-    for key, p_fwd in forward.entries.items():
-        p_bwd = backward.entries.get(_reversed_negated(key), 0.0)
-        terms = rhs(key) if p_bwd != 0.0 else None
-        if terms is None:
-            if p_fwd > SUPPORT_FLOOR or (strict_rhs and p_bwd != 0.0):
-                mismatches.append(key)
-            continue
-        residual = math.log(p_fwd) - math.log(p_bwd)
-        for term in terms:
-            residual -= term
-        worst = max(worst, abs(residual))
-        checked += 1
+    radix = len(values)
+    p_bwd = _masses_at(masses_bwd, _lookup(_negated_reversed(forward, radix), backward, radix))
+    paired = p_bwd != 0.0
+    checked = paired & supported
+    lost = ~checked & ((p_fwd > SUPPORT_FLOOR) | (strict_rhs & paired))
+    residual = _logs(p_fwd[checked]) - _logs(p_bwd[checked])
+    for term in terms:
+        residual -= term[checked]
+    magnitude = np.abs(residual)
+    worst = float(np.max(magnitude, initial=0.0, where=~np.isnan(magnitude)))
+    rows = forward[lost] if orphans is None else np.concatenate([orphans, forward[lost]])
+    mismatches = tuple(
+        tuple(map(values.__getitem__, row))
+        for row in (np.unique(rows, axis=0).tolist() if len(rows) else ())
+    )
     return FTReport(
         max_log_residual=worst,
-        checked_pairs=checked,
-        support_mismatches=tuple(sorted(set(mismatches))),
+        checked_pairs=int(np.count_nonzero(checked)),
+        support_mismatches=mismatches,
         tolerance=tolerance,
         passed=(worst <= tolerance and not mismatches),
     )
@@ -389,16 +646,14 @@ def verify_joint_ft(
     if forward.n_collisions != model.n_collisions:
         raise ModelError("distribution and model collision counts differ")
     deltas = [beta - model.system_beta for beta in model.ancilla_betas]
-    orphans = [
-        _reversed_negated(key)
-        for key, p_bwd in backward.entries.items()
-        if p_bwd > SUPPORT_FLOOR and _reversed_negated(key) not in forward.entries
-    ]
-
-    def exponent(key: HeatKey) -> tuple[float]:
-        return (sum(d * float(q) for d, q in zip(deltas, key)),)
-
-    return _check_log_ratio(forward, backward, exponent, tolerance, orphans=orphans)
+    values, (fwd, bwd) = _shared(forward, backward)
+    masses_bwd = _codes(backward).masses
+    flipped = _negated_reversed(bwd, len(values))
+    orphans = flipped[(masses_bwd > SUPPORT_FLOOR) & (_lookup(flipped, fwd, len(values)) < 0)]
+    return _check_log_ratio(
+        values, fwd, _codes(forward).masses, bwd, masses_bwd,
+        (_exponents(values, fwd, deltas),), True, tolerance, orphans=orphans,
+    )
 
 
 def verify_product_relation(
@@ -416,18 +671,17 @@ def verify_product_relation(
     """
     if len(singles) != forward.n_collisions:
         raise ModelError("need one single-collision distribution per collision")
-
-    def rhs(key: HeatKey) -> tuple[float] | None:
-        total = 0.0
-        for single, q in zip(singles, key):
-            plus = single.probability((q,))
-            minus = single.probability((-q,))
-            if plus == 0.0 or minus == 0.0:
-                return None
-            total += math.log(plus) - math.log(minus)
-        return (total,)
-
-    return _check_log_ratio(forward, backward, rhs, tolerance, strict_rhs=True)
+    values, (fwd, bwd, *ones) = _shared(forward, backward, *singles)
+    total = np.zeros(len(fwd))
+    supported = np.ones(len(fwd), dtype=bool)
+    for single, ids, column in zip(singles, ones, fwd.T):
+        ratio, support = _flip_log_ratio(values, ids, _codes(single).masses)
+        total += ratio[column]
+        supported &= support[column]
+    return _check_log_ratio(
+        values, fwd, _codes(forward).masses, bwd, _codes(backward).masses,
+        (total,), supported, tolerance, strict_rhs=True,
+    )
 
 
 def verify_partial_decomposition(
@@ -452,31 +706,45 @@ def verify_partial_decomposition(
     prefix_bwd = exact_backward_joint(truncated_model(model, n - 1), cap)
     last_single = single_collision_distribution(model, n, cap)
 
-    def rhs(key: HeatKey) -> tuple[float, float] | None:
-        head, q = key[:-1], key[-1]
-        fwd, bwd = prefix_fwd.probability(head), prefix_bwd.probability(_reversed_negated(head))
-        plus, minus = last_single.probability((q,)), last_single.probability((-q,))
-        if 0.0 in (fwd, bwd, plus, minus):
-            return None
-        return (math.log(fwd) - math.log(bwd), math.log(plus) - math.log(minus))
+    values, (fwd, bwd, head_fwd, head_bwd, last) = _shared(
+        forward, backward, prefix_fwd, prefix_bwd, last_single
+    )
+    radix = len(values)
+    head = fwd[:, :-1]
+    p_head = _masses_at(_codes(prefix_fwd).masses, _lookup(head, head_fwd, radix))
+    p_head_bwd = _masses_at(
+        _codes(prefix_bwd).masses, _lookup(_negated_reversed(head, radix), head_bwd, radix)
+    )
+    ratio, support = _flip_log_ratio(values, last, _codes(last_single).masses)
+    supported = (p_head != 0.0) & (p_head_bwd != 0.0) & support[fwd[:, -1]]
+    prefix_ratio = np.zeros(len(fwd))
+    prefix_ratio[supported] = _logs(p_head[supported]) - _logs(p_head_bwd[supported])
+    return _check_log_ratio(
+        values, fwd, _codes(forward).masses, bwd, _codes(backward).masses,
+        (prefix_ratio, ratio[fwd[:, -1]]), supported, tolerance,
+    )
 
-    return _check_log_ratio(forward, backward, rhs, tolerance)
+
+def _differences(a: JointHeatDistribution, b: JointHeatDistribution) -> np.ndarray:
+    """``|p_a - p_b|`` over the union support: ``a``'s keys in order, then ``b``'s others."""
+    values, (ids_a, ids_b) = _shared(a, b)
+    masses_a, masses_b = _codes(a).masses, _codes(b).masses
+    at = _lookup(ids_a, ids_b, len(values))
+    only_b = np.ones(len(ids_b), dtype=bool)
+    only_b[at[at >= 0]] = False
+    return np.abs(np.concatenate([masses_a - _masses_at(masses_b, at), masses_b[only_b]]))
 
 
 def compare_distributions(
     a: JointHeatDistribution, b: JointHeatDistribution
 ) -> float:
     """Largest entrywise probability difference over the union support."""
-    keys = set(a.entries) | set(b.entries)
-    if not keys:
-        return 0.0
-    return max(abs(a.probability(k) - b.probability(k)) for k in keys)
+    return float(np.max(_differences(a, b), initial=0.0))
 
 
 def total_variation(a: JointHeatDistribution, b: JointHeatDistribution) -> float:
     """Half the l1 distance between two distributions."""
-    keys = set(a.entries) | set(b.entries)
-    return 0.5 * sum(abs(a.probability(k) - b.probability(k)) for k in keys)
+    return 0.5 * sum(_differences(a, b).tolist())
 
 
 def integral_ft_expectation(forward: JointHeatDistribution, model: ModelConfig) -> float:
@@ -485,11 +753,10 @@ def integral_ft_expectation(forward: JointHeatDistribution, model: ModelConfig) 
     Equals 1 (up to pruning) whenever the exchange identity holds.
     """
     deltas = [beta - model.system_beta for beta in model.ancilla_betas]
+    values, ids, masses = _codes(forward)
+    exponents = _exponents(values, ids, deltas)
     return float(
-        sum(
-            p * math.exp(-sum(d * float(q) for d, q in zip(deltas, key)))
-            for key, p in forward.entries.items()
-        )
+        sum(p * math.exp(-s) for p, s in zip(masses.tolist(), exponents.tolist()))
     )
 
 
@@ -505,49 +772,40 @@ def distribution_to_csv(dist: JointHeatDistribution, include_exact: bool = False
     "num/den" keys are appended as extra columns.
     """
     n = dist.n_collisions
-    out = io.StringIO()
     header = [f"Q_{i}" for i in range(1, n + 1)] + ["probability"]
     if include_exact:
         header += [f"Q_{i}_exact" for i in range(1, n + 1)]
+
+    # Each distinct heat value is formatted once and cells are read by id.
+    # Rows are read in blocks, which bounds the Python lists held alive.
+    values, ids, masses = _codes(dist)
+    order = _key_order(ids)
+    decimal = [format(float(q), ".12g") for q in values]
+    exact = [format_rational(q) for q in values]
+    out = io.StringIO()
     out.write(",".join(header) + "\n")
-
-    # Keys share a few Fraction objects, so every distinct value is ranked
-    # and formatted once and cells are looked up by object identity.  Rows
-    # sort on fixed-width big-endian rank bytes, which order exactly as the
-    # Fraction tuples do, without comparing Fractions.
-    objects = {id(q): q for key in dist.entries for q in key}
-    values = sorted(set(objects.values()))
-    width = max(1, ((len(values) - 1).bit_length() + 7) // 8)
-    rank = {q: r.to_bytes(width, "big") for r, q in enumerate(values)}
-    text = {q: (format(float(q), ".12g"), format_rational(q)) for q in values}
-    rank_of = {i: rank[q] for i, q in objects.items()}
-    decimal_of = {i: text[q][0] for i, q in objects.items()}
-    exact_of = {i: text[q][1] for i, q in objects.items()}
-
-    def rank_key(item: tuple[HeatKey, float]) -> bytes:
-        return b"".join(map(rank_of.__getitem__, map(id, item[0])))
-
-    for key, prob in sorted(dist.entries.items(), key=rank_key):
-        cells = list(map(id, key))
-        fields = [*map(decimal_of.__getitem__, cells), repr(prob)]
-        if include_exact:
-            fields += map(exact_of.__getitem__, cells)
-        out.write(",".join(fields) + "\n")
+    for start in range(0, len(ids), _CSV_BLOCK_ROWS):
+        block = order[start : start + _CSV_BLOCK_ROWS]
+        for row, prob in zip(ids[block].tolist(), masses[block].tolist()):
+            fields = [*map(decimal.__getitem__, row), repr(prob)]
+            if include_exact:
+                fields += map(exact.__getitem__, row)
+            out.write(",".join(fields) + "\n")
     return out.getvalue()
 
 
 def distribution_to_json(dist: JointHeatDistribution) -> dict:
     """JSON-ready document mirroring the key -> probability map exactly."""
+    values, ids, masses = _codes(dist)
+    order = _key_order(ids)
+    text = [format_rational(q) for q in values]
     return {
         "direction": dist.direction,
         "n_collisions": dist.n_collisions,
         "pruned_mass": dist.pruned_mass,
         "entries": [
-            {
-                "heats": [format_rational(q) for q in key],
-                "probability": prob,
-            }
-            for key, prob in dist.items_sorted()
+            {"heats": list(map(text.__getitem__, row)), "probability": prob}
+            for row, prob in zip(ids[order].tolist(), masses[order].tolist())
         ],
     }
 

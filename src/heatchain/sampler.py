@@ -38,6 +38,8 @@ from .heatstats import (
     DEFAULT_ENUMERATION_CAP,
     HeatKey,
     JointHeatDistribution,
+    _codes,
+    _exponents,
     exact_forward_joint,
     iter_augmented_paths,
 )
@@ -142,8 +144,8 @@ def _logs(values) -> list[float]:
 class _SamplerTables:
     """Padded arrays that let a block of shots advance one collision at a time.
 
-    Every distinct heat value (a difference of two levels) gets a small
-    integer id in a shared registry, so the per-shot equality check between
+    Heats are small integer ids in the model's registry
+    (``RealizedModel.heat_values``), so the per-shot equality check between
     system-side and ancilla-side heat bookkeeping is an integer comparison
     while staying exact, and a record's heat tuple is a short byte string.
     The rows of every ``CollisionStage.outcomes`` table are stacked into
@@ -160,19 +162,16 @@ class _SamplerTables:
         self.p0_cum = np.cumsum(p0)
         self.log_p0 = np.array(_logs(p0))
 
-        registry: dict[Fraction, int] = {}
-
-        def heat_id(value: Fraction) -> int:
-            return registry.setdefault(value, len(registry))
-
-        sys_levels = model.system.levels
-        sys_heat_id = [[heat_id(e_a - e_b) for e_b in sys_levels] for e_a in sys_levels]
-
         width = self.width = max(stage.spectrum.dim for stage in realized.stages)
         self.anc_dim = [stage.spectrum.dim for stage in realized.stages]
         self.anc_cum = np.full((n, width), np.inf)
         self.log_q = np.zeros((n, width))
-        anc_heat_id = np.zeros((n, width, width), dtype=np.intp)
+        self.heat_fraction: tuple[Fraction, ...] = realized.heat_values
+        self.code_dtype = realized.system_heat_ids.dtype
+        self.sys_heat_id = realized.system_heat_ids
+        self.anc_heat_id = np.zeros((n, width, width), dtype=self.code_dtype)
+        self.heat_value = np.array([float(value) for value in self.heat_fraction])
+        self.heat_text = [format_rational(value) for value in self.heat_fraction]
         self.row = np.zeros((n, model.system.dim, width), dtype=np.intp)
         rows: list[tuple[tuple[int, int, float], ...]] = []
         for i, stage in enumerate(realized.stages):
@@ -180,10 +179,7 @@ class _SamplerTables:
             dim = len(q)
             self.anc_cum[i, :dim] = np.cumsum(q)
             self.log_q[i, :dim] = _logs(q)
-            levels = stage.spectrum.levels
-            anc_heat_id[i, :dim, :dim] = [
-                [heat_id(e_out - e_in) for e_out in levels] for e_in in levels
-            ]
+            self.anc_heat_id[i, :dim, :dim] = realized.ancilla_heat_ids[i]
             for (alpha, n_in), outcomes in stage.outcomes.items():
                 self.row[i, alpha, n_in] = len(rows)
                 rows.append(outcomes)
@@ -202,13 +198,6 @@ class _SamplerTables:
             self.row_n_out[r, :k] = [n_out for _, n_out, _ in outcomes]
             self.row_log[r, :k] = _logs(weights)
 
-        # Ids are handed out in insertion order, so position is the id.
-        self.heat_fraction: tuple[Fraction, ...] = tuple(registry)
-        self.heat_value = np.array([float(value) for value in self.heat_fraction])
-        self.heat_text = [format_rational(value) for value in self.heat_fraction]
-        self.code_dtype = np.min_scalar_type(len(registry) - 1)
-        self.sys_heat_id = np.array(sys_heat_id, dtype=self.code_dtype)
-        self.anc_heat_id = anc_heat_id.astype(self.code_dtype)
         self.level_dtype = np.min_scalar_type(model.system.dim - 1)
         self.pair_dtype = np.min_scalar_type(width * width - 1)
         self.pairs = [(n_in, n_out) for n_in in range(width) for n_out in range(width)]
@@ -462,11 +451,8 @@ def average_entropy_production(
     """
     deltas = [anc.beta - model.system_beta for anc in model.ancillas]
 
-    joint = exact_forward_joint(model, cap)
-    heat_average = sum(
-        p * sum(d * float(q) for d, q in zip(deltas, key))
-        for key, p in joint.entries.items()
-    )
+    values, ids, masses = _codes(exact_forward_joint(model, cap))
+    heat_average = sum((masses * _exponents(values, ids, deltas)).tolist())
 
     realized = realize_model(model)
     with np.errstate(divide="ignore"):

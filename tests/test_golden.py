@@ -91,3 +91,93 @@ def test_outputs_match_golden_digests(workdir, name):
         for path in digests
     }
     assert actual == digests
+
+
+# Larger models, where many paths merge onto one heat tuple and the order of
+# the float sums shows.  The N=10 chain has a theta=pi/2 collision, whose
+# 3.7e-33 stay-put weights leave keys below ``PRUNE_THRESHOLD``, and a
+# theta=0 collision, whose exchange branches are exactly zero.
+RESONANT_TEN = {
+    "system": {"energies": ["0", "1"], "beta": 1.0},
+    "ancillas": [
+        {"energies": ["0", "1"], "beta": beta,
+         "unitary": {"kind": "partial_swap", "theta": theta}}
+        for beta, theta in zip(
+            (0.7, 1.3, 0.9, 1.1, 0.6, 1.4, 1.0, 0.8, 1.2, 0.95),
+            (0.5, 0.9, math.pi / 2, 0.7, 1.1, 0.0, 0.6, 0.8, 1.0, 0.4),
+        )
+    ],
+    "master_seed": 3,
+}
+
+RESONANT_EIGHT = {
+    "system": {"energies": ["0", "1"], "beta": 1.0},
+    "ancillas": [
+        {"energies": ["0", "1"], "beta": 1.0 + 0.05 * k,
+         "unitary": {"kind": "partial_swap", "theta": 0.4 + 0.1 * k}}
+        for k in range(8)
+    ],
+    "master_seed": 5,
+}
+
+HAAR_D3 = {
+    "system": {"energies": ["0", "1/3", "2/3"], "beta": 1.0},
+    "ancillas": [
+        {"energies": ["0", "1/3", "2/3"], "beta": beta, "unitary": {"kind": "haar"}}
+        for beta in (0.6, 1.7, 1.2)
+    ],
+    "master_seed": 17,
+}
+
+GOLDEN_LARGE = {
+    "exact-csv-resonant-ten": (
+        ["exact", "resonant_ten.json", "--out", "ten.csv"],
+        0,
+        {
+            "ten.csv": "d8c3d8bbd7500dfd9b2afad7075f67259c4d6c7e7046bf45483cbf191d8a477e",
+            "ten.backward.csv": "acc884f74d9123d67f5162060b87592b05da5b87ec51b9bdff4efcd0583ecd59",
+        },
+    ),
+    "exact-json-haar-d3": (
+        ["exact", "haar_d3.json", "--out", "haar.json", "--format", "json"],
+        0,
+        {
+            "haar.json": "cae6c1b151e4d28aa274ebfde9f5d82fb1319223cf8715235a4d63629d29c4ec",
+            "haar.backward.json": "18240d61ea624567f69975b454989d176344c10a80b4adfeaad06d3fb520d18c",
+        },
+    ),
+    "verify-resonant-eight": (
+        ["verify", "resonant_eight.json", "--out", "verify8.json"],
+        0,
+        {"verify8.json": "febf17ef651c07eb32b699a0e8d2cf4a1a82cf76076744ba4f29339cee7ea8e5"},
+    ),
+    "entropy-haar-thirds": (
+        ["entropy", "haar_thirds.json", "--out", "entropy.json"],
+        0,
+        {"entropy.json": "51006b88eeed75bd86d674de386fb17206dfb289c6e2b9dd2f762715878e129b"},
+    ),
+}
+
+
+@pytest.fixture
+def large_workdir(tmp_path, monkeypatch):
+    shutil.copy(MODELS / "haar_thirds.json", tmp_path / "haar_thirds.json")
+    for name, document in (
+        ("resonant_ten.json", RESONANT_TEN),
+        ("resonant_eight.json", RESONANT_EIGHT),
+        ("haar_d3.json", HAAR_D3),
+    ):
+        (tmp_path / name).write_text(json.dumps(document), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    return tmp_path
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_LARGE))
+def test_larger_outputs_match_golden_digests(large_workdir, name):
+    argv, expected_exit, digests = GOLDEN_LARGE[name]
+    assert dispatch(argv) == expected_exit
+    actual = {
+        path: hashlib.sha256((large_workdir / path).read_bytes()).hexdigest()
+        for path in digests
+    }
+    assert actual == digests
