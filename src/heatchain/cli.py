@@ -235,6 +235,8 @@ def parse_model(document: Mapping) -> ModelConfig:
 
 def _settings(document: Mapping) -> RunSettings:
     tolerance = _number(document.get("tolerance", 1e-9), "tolerance")
+    if tolerance < 0:
+        raise _fail("tolerance", "must be at least 0")
     cap = document.get("enumeration_cap", DEFAULT_ENUMERATION_CAP)
     if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
         raise _fail("enumeration_cap", "expected a positive integer")
@@ -488,6 +490,17 @@ def _int_at_least(low: int):
     return parse
 
 
+def _tolerance(text: str) -> float:
+    """argparse type: a finite float no smaller than 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be finite and at least 0, got {text}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="heatchain",
@@ -499,9 +512,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("model", help="path to a JSON model document")
         p.add_argument("--out", help="write the report or export here")
         if cap:
-            p.add_argument("--cap", type=int, default=None, help="enumeration path cap")
+            p.add_argument("--cap", type=_int_at_least(1), default=None, help="enumeration path cap")
         if tol:
-            p.add_argument("--tolerance", type=float, default=None)
+            p.add_argument("--tolerance", type=_tolerance, default=None)
 
     p = sub.add_parser("validate", help="unitarity and detailed-balance checks")
     common(p, cap=False, tol=True)

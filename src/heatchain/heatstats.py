@@ -37,10 +37,14 @@ reversed for the backward one.  The via-ancilla route steps through each
 collision's jump table (``CollisionStage.outcomes``) and reads heats off
 the ancillas.  Paths come out in depth-first order and every weight and
 sum is formed in that order, so the laws are bit-identical to a
-path-by-path loop.  Enumeration caps apply to the exact number of nonzero
-paths, counted by an integer dynamic program over system levels before
-anything is built.  All three identity checks share one log-ratio loop,
-``_check_log_ratio``, and differ only in their right-hand sides.
+path-by-path loop.  ``_path_blocks`` walks the same layers in the same
+order but yields complete paths in bounded blocks, each with its weight,
+end levels and steps, so a per-path average (the trajectory form of the
+entropy production) needs memory for one block, not for every path.
+Enumeration caps apply to the exact number of nonzero paths, counted by an
+integer dynamic program over system levels before anything is built.  All
+three identity checks share one log-ratio loop, ``_check_log_ratio``, and
+differ only in their right-hand sides.
 """
 
 from __future__ import annotations
@@ -100,6 +104,7 @@ HeatKey = tuple[Fraction, ...]
 
 _CODE_LIMIT = 2**63  # int64 key codes stay below this
 _CSV_BLOCK_ROWS = 512
+_BLOCK_PATHS = 2**14  # paths per frontier expansion in _path_blocks
 
 
 class _Codes(NamedTuple):
@@ -366,6 +371,55 @@ def _children(layer: _Layer, level: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     parent = np.repeat(np.arange(len(level), dtype=index), fan)
     offset = (layer.first[level] - (ends - fan)).astype(index)
     return parent, np.arange(len(parent), dtype=index) + np.repeat(offset, fan)
+
+
+def _path_blocks(
+    realized: RealizedModel, layers: list[_Layer]
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, list[np.ndarray]]]:
+    """Every nonzero path in blocks: weight, start and end level, and the step in each layer.
+
+    Paths come out in the depth-first order of :func:`_sweep`, and each
+    weight is multiplied left to right.  A frontier whose children would
+    outnumber ``_BLOCK_PATHS`` is expanded a prefix at a time, the rest
+    waiting on a stack, so each depth holds one frontier of about a block
+    and memory stays O(block x layers) however many paths there are.
+    Steps are recovered through each layer's back-pointers once a block
+    is complete.
+    """
+    p0 = realized.system_state.populations
+    start = np.flatnonzero(p0 > 0.0)
+    n = len(layers)
+    levels, weights, reach = [start] + [None] * n, [p0[start]] + [None] * n, [None] * n
+    trail = [None] * n  # per layer: each path's parent in the frontier above, and its step
+    pending = [(0, 0)] if len(start) else []  # (depth, first frontier path not yet expanded)
+    while pending:
+        depth, lo = pending.pop()
+        level = levels[depth]
+        if depth == n:
+            path = np.arange(len(level))
+            steps = [None] * n
+            for i in range(n - 1, -1, -1):
+                parent, step = trail[i]
+                steps[i] = step[path]
+                path = parent[path]
+            yield weights[n], start[path], level, steps
+            continue
+        layer = layers[depth]
+        if lo == 0:
+            reach[depth] = np.cumsum(layer.fan[level])
+        below = reach[depth][lo - 1] if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(reach[depth], below + _BLOCK_PATHS, side="right")))
+        if hi < len(level):
+            pending.append((depth, hi))
+        parent, step = _children(layer, level[lo:hi])
+        parent += lo
+        weight = weights[depth][parent]
+        for factor in layer.factors:
+            weight *= factor[step]
+        levels[depth + 1], weights[depth + 1] = layer.level[step], weight
+        trail[depth] = (parent, step)
+        if len(step):
+            pending.append((depth + 1, 0))
 
 
 def _sweep(realized: RealizedModel, layers: list[_Layer], direction: str) -> JointHeatDistribution:

@@ -38,10 +38,12 @@ from .heatstats import (
     DEFAULT_ENUMERATION_CAP,
     HeatKey,
     JointHeatDistribution,
+    _ancilla_layers,
+    _check_cap,
     _codes,
     _exponents,
+    _path_blocks,
     exact_forward_joint,
-    iter_augmented_paths,
 )
 from .model import (
     ConsistencyError,
@@ -455,15 +457,25 @@ def average_entropy_production(
     heat_average = sum((masses * _exponents(values, ids, deltas)).tolist())
 
     realized = realize_model(model)
+    layers = _ancilla_layers(realized)
+    _check_cap(realized, layers, cap, "augmented-path")
     with np.errstate(divide="ignore"):
         log_p0 = np.log(realized.system_state.populations)
         log_qs = [np.log(stage.ancilla_state.populations) for stage in realized.stages]
+    # Per layer and step: log q(n) - log q(n') of its ancilla move.
+    log_ratios = []
+    for layer, log_q in zip(layers, log_qs):
+        moves = np.array(layer.moves, dtype=np.intp).reshape(-1, 2)
+        log_ratios.append(log_q[moves[:, 0]] - log_q[moves[:, 1]])
+    # Each path's value is formed in collision order and the weighted values
+    # are added strictly in path order, as a path-by-path loop adds them.
     trajectory_average = 0.0
-    for alphas, pairs, weight in iter_augmented_paths(model, cap):
-        value = float(log_p0[alphas[0]] - log_p0[alphas[-1]])
-        for i, (n_in, n_out) in enumerate(pairs):
-            value += float(log_qs[i][n_in] - log_qs[i][n_out])
-        trajectory_average += weight * value
+    for weight, start, end, steps in _path_blocks(realized, layers):
+        value = log_p0[start] - log_p0[end]
+        for log_ratio, step in zip(log_ratios, steps):
+            value += log_ratio[step]
+        terms = np.concatenate(([trajectory_average], weight * value))
+        trajectory_average = float(np.cumsum(terms)[-1])
 
     p = realized.system_state.populations
     q_posts = []

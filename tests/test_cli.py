@@ -132,6 +132,18 @@ class TestParseModel:
         assert settings.tolerance == 1e-9
         assert settings.enumeration_cap == 10**8
 
+    @pytest.mark.parametrize("tolerance", [-1e-9, -5])
+    def test_negative_document_tolerance_rejected(self, tmp_path, tolerance):
+        path = write_model(tmp_path, {**RUNNING_EXAMPLE, "tolerance": tolerance})
+        with pytest.raises(ModelError, match="tolerance: must be at least 0"):
+            load_model_file(path)
+
+    def test_nan_document_tolerance_rejected(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({**RUNNING_EXAMPLE, "tolerance": math.nan}), encoding="utf-8")
+        with pytest.raises(ModelError, match="tolerance: must be finite"):
+            load_model_file(path)
+
     def test_not_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("not json", encoding="utf-8")
@@ -277,3 +289,31 @@ class TestDispatch:
     def test_cap_flag_enforced(self, tmp_path):
         path = write_model(tmp_path, CHAIN_DOCUMENT)
         assert dispatch(["exact", str(path), "--cap", "3"]) == 2
+
+    @pytest.mark.parametrize("command", ["exact", "verify", "entropy"])
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_cap_flag_out_of_range_exits_2(self, tmp_path, capsys, command, value):
+        path = write_model(tmp_path, CHAIN_DOCUMENT)
+        assert dispatch([command, str(path), "--cap", value]) == 2
+        err = capsys.readouterr().err
+        assert "error: argument --cap: must be at least 1" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["validate", "verify", "entropy"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1e-9", "tight"])
+    def test_tolerance_flag_out_of_range_exits_2(self, tmp_path, capsys, command, value):
+        path = write_model(tmp_path, CHAIN_DOCUMENT)
+        assert dispatch([command, str(path), "--tolerance", value]) == 2
+        err = capsys.readouterr().err
+        assert "error: argument --tolerance:" in err
+        assert "Traceback" not in err
+
+    def test_zero_tolerance_flag_accepted(self, tmp_path):
+        path = write_model(tmp_path, CHAIN_DOCUMENT)
+        assert dispatch(["validate", str(path), "--tolerance", "0"]) != 2
+
+    @pytest.mark.parametrize("command", ["verify", "entropy"])
+    def test_negative_document_tolerance_exits_2(self, tmp_path, capsys, command):
+        path = write_model(tmp_path, {**CHAIN_DOCUMENT, "tolerance": -1e-9})
+        assert dispatch([command, str(path)]) == 2
+        assert "error: tolerance: must be at least 0" in capsys.readouterr().err

@@ -11,9 +11,11 @@ order, the same float bits, the same pruned mass and the same reports.
 import cmath
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 from typing import Callable, Sequence
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -25,6 +27,7 @@ from heatchain import (
     ModelConfig,
     Spectrum,
     UnitarySpec,
+    average_entropy_production,
     build_energy_shells,
     compare_distributions,
     distribution_from_csv,
@@ -46,6 +49,7 @@ from heatchain import (
     verify_partial_decomposition,
     verify_product_relation,
 )
+from heatchain import heatstats
 from heatchain.cli import dispatch
 from heatchain.heatstats import PRUNE_THRESHOLD, SUPPORT_FLOOR
 
@@ -596,3 +600,83 @@ def test_caps_count_only_nonzero_paths():
     assert sum(1 for _ in iter_augmented_paths(model, cap=2)) == 2
     with pytest.raises(EnumerationCapError, match="needs 2 paths, cap is 1"):
         exact_backward_joint(model, cap=1)
+
+
+# ---------------------------------------------------------------------------
+# The trajectory average of the entropy production, block by block, against
+# the path-by-path loop over ``iter_augmented_paths``.
+
+
+def reference_trajectory_average(model: ModelConfig) -> float:
+    """Each path's value in collision order, weighted values added in path order."""
+    realized = realize_model(model)
+    with np.errstate(divide="ignore"):
+        log_p0 = np.log(realized.system_state.populations)
+        log_qs = [np.log(stage.ancilla_state.populations) for stage in realized.stages]
+    total = 0.0
+    for alphas, pairs, weight in iter_augmented_paths(model, cap=2**62):
+        value = float(log_p0[alphas[0]] - log_p0[alphas[-1]])
+        for i, (n_in, n_out) in enumerate(pairs):
+            value += float(log_qs[i][n_in] - log_qs[i][n_out])
+        total += weight * value
+    return total
+
+
+# Block sizes small enough that frontiers split at every depth, a path's
+# children overflow a block, and the running sum is carried across blocks.
+SMALL_BLOCKS = (1, 2, 3, 7)
+
+
+def assert_trajectory_average_matches(model: ModelConfig, block_sizes=SMALL_BLOCKS) -> None:
+    expected = reference_trajectory_average(model).hex()
+    assert average_entropy_production(model).trajectory_average.hex() == expected
+    for size in block_sizes:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(heatstats, "_BLOCK_PATHS", size)
+            assert average_entropy_production(model).trajectory_average.hex() == expected, size
+
+
+@given(models(path_budget=2000))
+def test_trajectory_average_matches_reference(model):
+    assert_trajectory_average_matches(model)
+
+
+# exp(-1000) underflows, so every ancilla level at energy 1000 has population
+# exactly 0.  No jump reaches one: the shells holding it are one level wide.
+QUBIT = Spectrum((Fraction(0), Fraction(1)))
+ZERO_POPULATIONS = ModelConfig(
+    system=QUBIT,
+    system_beta=-1.0,
+    ancillas=(
+        AncillaSpec(Spectrum((Fraction(0), Fraction(1), Fraction(1000))), 1.0, UnitarySpec.haar()),
+        AncillaSpec(QUBIT, 1.0, UnitarySpec.partial_swap(0.7)),
+        AncillaSpec(Spectrum((Fraction(0), Fraction(1000))), 2.0, UnitarySpec.haar()),
+    ),
+    master_seed=5,
+)
+
+TRAJECTORY_MODELS = {
+    **LARGE_MODELS,
+    "zero-populations": ZERO_POPULATIONS,
+    # Log ratios whose sum rounds differently when added out of collision order.
+    "collision-order-4": swap_chain([-2.99, 1.87, 1.95, 0.35], [0.64, 1.06, 0.95, 0.74]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRAJECTORY_MODELS))
+def test_trajectory_average_matches_reference_on_large_models(name):
+    assert_trajectory_average_matches(TRAJECTORY_MODELS[name])
+
+
+def test_trajectory_average_memory_stays_within_a_block():
+    # 2 * 3**11 = 354294 augmented paths.  Held all at once they peak near
+    # 39 MB (at least 48 B a path); a block at a time, near 4 MB.
+    model = swap_chain([0.6 + 0.1 * k for k in range(11)], [0.5 + 0.05 * k for k in range(11)])
+    realize_model(model)
+    tracemalloc.start()
+    try:
+        average_entropy_production(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000

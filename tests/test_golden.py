@@ -129,6 +129,26 @@ HAAR_D3 = {
     "master_seed": 17,
 }
 
+# Entropy on chains with more augmented paths (31307 and 60112) than one
+# block of the trajectory average holds, so its running sum crosses blocks.
+HAAR_D3_N5 = {
+    "system": {"energies": ["0", "1/3", "2/3"], "beta": 1.0},
+    "ancillas": [
+        {"energies": ["0", "1/3", "2/3"], "beta": beta, "unitary": {"kind": "haar"}}
+        for beta in (0.6, 1.7, 1.2, 0.8, 1.4)
+    ],
+    "master_seed": 23,
+}
+
+HAAR_D4_N4 = {
+    "system": {"energies": ["0", "1/3", "2/3", "1"], "beta": 1.0},
+    "ancillas": [
+        {"energies": ["0", "1/3", "2/3", "1"], "beta": beta, "unitary": {"kind": "haar"}}
+        for beta in (0.7, 1.5, 1.1, 0.9)
+    ],
+    "master_seed": 29,
+}
+
 GOLDEN_LARGE = {
     "exact-csv-resonant-ten": (
         ["exact", "resonant_ten.json", "--out", "ten.csv"],
@@ -156,6 +176,16 @@ GOLDEN_LARGE = {
         0,
         {"entropy.json": "51006b88eeed75bd86d674de386fb17206dfb289c6e2b9dd2f762715878e129b"},
     ),
+    "entropy-haar-d3-n5": (
+        ["entropy", "haar_d3_n5.json", "--out", "entropy_d3.json"],
+        0,
+        {"entropy_d3.json": "44f1470563b20a1ac3330098934e79d8d29fa60a2ad09ecc545f29354569eef9"},
+    ),
+    "entropy-haar-d4-n4": (
+        ["entropy", "haar_d4_n4.json", "--out", "entropy_d4.json"],
+        0,
+        {"entropy_d4.json": "e2c12cd12f8c9bd930a5e8596194f07525cd2952e8c1d03b412e01c1a953fc60"},
+    ),
 }
 
 
@@ -166,6 +196,8 @@ def large_workdir(tmp_path, monkeypatch):
         ("resonant_ten.json", RESONANT_TEN),
         ("resonant_eight.json", RESONANT_EIGHT),
         ("haar_d3.json", HAAR_D3),
+        ("haar_d3_n5.json", HAAR_D3_N5),
+        ("haar_d4_n4.json", HAAR_D4_N4),
     ):
         (tmp_path / name).write_text(json.dumps(document), encoding="utf-8")
     monkeypatch.chdir(tmp_path)
