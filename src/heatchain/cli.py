@@ -63,10 +63,10 @@ from .model import (
 )
 from .sampler import (
     SamplerConfig,
-    _heat_text,
+    _dump_lines,
+    _record_block,
+    _sample,
     average_entropy_production,
-    iter_trajectories,
-    summarize_samples,
 )
 from .unitaries import UnitarySpec, validate_energy_preservation
 
@@ -398,14 +398,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _dump_line(record) -> str:
-    return json.dumps(
-        {
-            "alphas": list(record.trajectory.alphas),
-            "ancilla_pairs": [list(pair) for pair in record.trajectory.ancilla_pairs],
-            "heats": _heat_text(record),
-            "sigma": record.sigma,
-        }
-    )
+    """The ``--dump`` line of a sampled record, from the formatter the command writes with."""
+    return _dump_lines(*_record_block(record))[0]
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
@@ -414,20 +408,13 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     sampler_config = SamplerConfig(
         shots=args.shots, master_seed=seed, worker_count=args.workers
     )
-    records = iter_trajectories(config, sampler_config)
     if args.dump:
         dump_path = Path(args.dump)
         dump_path.parent.mkdir(parents=True, exist_ok=True)
         with dump_path.open("w", encoding="utf-8", newline="\n") as sink:
-
-            def tee():
-                for record in records:
-                    sink.write(_dump_line(record) + "\n")
-                    yield record
-
-            summary = summarize_samples(tee(), args.shots)
+            summary = _sample(config, sampler_config, sink.write)
     else:
-        summary = summarize_samples(records, args.shots)
+        summary = _sample(config, sampler_config)
 
     print(
         f"sampled {summary.shots} trajectories with seed {seed} "

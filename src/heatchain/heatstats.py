@@ -23,10 +23,12 @@ Every law is carried as codes: an ascending registry of its distinct heat
 values, a ``(K, N)`` array of small-int heat ids (id order is value order)
 and a mass array, in insertion order.  Enumerated laws use their model's
 registry, ``RealizedModel.heat_values``, which is closed under negation, so
-the id of ``-Q`` is ``R - 1`` minus the id of ``Q``.  The public
-Fraction-keyed ``entries`` dict of an enumerated law is built only when a
-caller first touches it.  Hand-built, parsed and empirical laws are encoded
-once, on first use, by ranking each distinct Fraction object.  Laws on
+the id of ``-Q`` is ``R - 1`` minus the id of ``Q``.  Empirical laws of
+sampled shots use it too, with masses ``count / shots`` in order of first
+appearance.  The public Fraction-keyed ``entries`` dict of such a law is
+built only when a caller first touches it.  Hand-built and parsed laws,
+and empirical laws of mixed or hand-built records, are encoded once, on
+first use, by ranking each distinct Fraction object.  Laws on
 different registries (the single collisions, the truncated chain) are
 matched by translating their registries by value.
 

@@ -18,18 +18,28 @@ guarantees that a parallel execution would reproduce the same numbers.
 
 The per-shot consistency checks (system-side against ancilla-side heat,
 heat form against log form of the entropy production) are evaluated for a
-whole block at once, so a ConsistencyError is raised before any record of
-the offending block is yielded.
+whole block at once, so a ConsistencyError is raised before anything of
+the offending block is counted, dumped or yielded.
+
+The command line samples without records: ``_sample`` counts each block's
+heat-id rows as code bytes, adds ``exp(-sigma)`` in shot order and writes
+the block's dump lines, building no per-shot object and no Fraction key.
+``iter_trajectories`` reads the same blocks into ``TrajectoryRecord``
+objects for library callers; ``summarize_samples`` counts sampled records
+on the same codes, so both routes give the same law.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping
+from itertools import islice
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -40,6 +50,8 @@ from .heatstats import (
     JointHeatDistribution,
     _ancilla_layers,
     _check_cap,
+    _Codes,
+    _coded_law,
     _codes,
     _exponents,
     _path_blocks,
@@ -48,6 +60,7 @@ from .heatstats import (
 from .model import (
     ConsistencyError,
     ModelConfig,
+    ModelError,
     format_rational,
     kl_divergence,
     shannon_entropy,
@@ -74,8 +87,8 @@ __all__ = [
 
 SIGMA_CONSISTENCY_TOL = 1e-10
 
-# Shots advanced together.  Records are streamed out of each block, so this
-# bounds the arrays held alive, whatever the shot count.
+# Shots advanced together.  Counts, dump lines and records are taken out of
+# each block, so this bounds the arrays held alive, whatever the shot count.
 _BLOCK_SHOTS = 256
 
 
@@ -127,6 +140,28 @@ class EmpiricalJoint:
     distribution: JointHeatDistribution
     stderr: Mapping[HeatKey, float]
     shots: int
+
+    def __getattr__(self, name: str):
+        # Reached only for attributes never set: an estimate built from
+        # counts builds its per-key standard errors when first touched.
+        tallies = self.__dict__.get("_tallies")
+        if name != "stderr" or tallies is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        total = self.shots
+        error = {}
+        for count in set(tallies):
+            p = count / total
+            error[count] = math.sqrt(p * (1.0 - p) / total)
+        # dict.fromkeys on a dict reuses its stored hashes, so only keys whose
+        # count differs from the most common one are hashed again.
+        entries = self.distribution.entries
+        common = Counter(tallies).most_common(1)[0][0]
+        stderr = dict.fromkeys(entries, error[common])
+        for key, count in zip(entries, tallies):
+            if count != common:
+                stderr[key] = error[count]
+        object.__setattr__(self, "stderr", stderr)
+        return stderr
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,6 +238,10 @@ class _SamplerTables:
         self.level_dtype = np.min_scalar_type(model.system.dim - 1)
         self.pair_dtype = np.min_scalar_type(width * width - 1)
         self.pairs = [(n_in, n_out) for n_in in range(width) for n_out in range(width)]
+        # JSON text of each level, ancilla pair and heat, for the dump lines.
+        self.level_json = [json.dumps(a) for a in range(model.system.dim)]
+        self.pair_json = [json.dumps(pair) for pair in self.pairs]
+        self.heat_json = [json.dumps(text) for text in self.heat_text]
 
 
 @lru_cache(maxsize=64)
@@ -309,10 +348,40 @@ def _records(
         yield record
 
 
-def _heat_text(record: TrajectoryRecord) -> list[str]:
-    """The ``"num/den"`` form of a sampled record's heats, read by heat id."""
+def _dump_lines(
+    tables: _SamplerTables,
+    alphas: np.ndarray,
+    pair_codes: np.ndarray,
+    ids: np.ndarray,
+    sigma: np.ndarray,
+) -> list[str]:
+    """One JSON line per row of :func:`_advance`'s arrays: levels, ancilla pairs, exact heats, sigma.
+
+    Each cell is looked up as text, and the sigmas are formatted by one
+    ``json.dumps`` call, so a line has the bytes ``json.dumps`` gives the
+    shot's record as a dict.
+    """
+    levels, pairs, heats = tables.level_json, tables.pair_json, tables.heat_json
+    sigmas = json.dumps(sigma.tolist())[1:-1].split(", ")
+    return [
+        f'{{"alphas": [{", ".join(map(levels.__getitem__, a))}], '
+        f'"ancilla_pairs": [{", ".join(map(pairs.__getitem__, m))}], '
+        f'"heats": [{", ".join(map(heats.__getitem__, h))}], "sigma": {s}}}'
+        for a, m, h, s in zip(alphas.tolist(), pair_codes.tolist(), ids.tolist(), sigmas)
+    ]
+
+
+def _record_block(record: TrajectoryRecord) -> tuple:
+    """A sampled record as the one-shot block of arrays it was read from."""
     tables, code = record.heat_code
-    return list(map(tables.heat_text.__getitem__, _heat_ids(tables, code)))
+    pairs = record.trajectory.ancilla_pairs
+    return (
+        tables,
+        np.array([record.trajectory.alphas]),
+        np.array([[n_in * tables.width + n_out for n_in, n_out in pairs]]),
+        np.frombuffer(code, dtype=tables.code_dtype)[None],
+        np.array([record.sigma]),
+    )
 
 
 def _block_uniforms(
@@ -336,6 +405,16 @@ def sample_trajectory(model: ModelConfig, rng: np.random.Generator) -> Augmented
     return next(_records(tables, *shot)).trajectory
 
 
+def _blocks(tables: _SamplerTables, config: SamplerConfig) -> Iterator[tuple[np.ndarray, ...]]:
+    """:func:`_advance`'s arrays for each block of ``config.shots`` shots, in shot order."""
+    streams = [substream(config.master_seed, w) for w in range(config.worker_count)]
+    width = 1 + 2 * tables.n
+    for start in range(0, config.shots, _BLOCK_SHOTS):
+        size = min(_BLOCK_SHOTS, config.shots - start)
+        # The uniforms are dropped once advanced, before the block is used.
+        yield _advance(tables, _block_uniforms(streams, start, size, width))
+
+
 def iter_trajectories(model: ModelConfig, config: SamplerConfig) -> Iterator[TrajectoryRecord]:
     """Generate ``config.shots`` records in shot order.
 
@@ -344,13 +423,27 @@ def iter_trajectories(model: ModelConfig, config: SamplerConfig) -> Iterator[Tra
     raises ConsistencyError.
     """
     tables = _tables(model)
-    streams = [substream(config.master_seed, w) for w in range(config.worker_count)]
-    width = 1 + 2 * tables.n
-    for start in range(0, config.shots, _BLOCK_SHOTS):
-        size = min(_BLOCK_SHOTS, config.shots - start)
-        # The uniforms are dropped once advanced, before records stream out.
-        block = _advance(tables, _block_uniforms(streams, start, size, width))
+    for block in _blocks(tables, config):
         yield from _records(tables, *block)
+
+
+def _sample(
+    model: ModelConfig, config: SamplerConfig, dump: Callable[[str], object] | None = None
+) -> SampleSummary:
+    """Summarize ``config.shots`` shots straight from their blocks, as records would be.
+
+    With ``dump``, each block's dump lines are passed to it before the
+    block is counted.  A ConsistencyError leaves the lines of the earlier
+    blocks dumped, as a record stream would.
+    """
+    tables = _tables(model)
+    tally = _Tally()
+    for alphas, pair_codes, ids, sigma, _ in _blocks(tables, config):
+        if dump is not None:
+            dump("".join(line + "\n" for line in _dump_lines(tables, alphas, pair_codes, ids, sigma)))
+        tally.count_block(tables, ids)
+        tally.weigh(sigma.tolist())
+    return tally.summary(config.shots)
 
 
 def heats_from_system_path(alphas: Iterable[int], system_spectrum) -> HeatKey:
@@ -425,6 +518,17 @@ def ancilla_post_state(model: ModelConfig, i: int) -> np.ndarray:
     return _ancilla_post(realized.stages[i - 1], p)
 
 
+def _relative_entropy(post: np.ndarray, pre: np.ndarray, part: str) -> float:
+    """``kl_divergence(post, pre)``, or a ModelError naming the level that makes it infinite."""
+    reached = np.flatnonzero((post > 0) & (pre <= 0))
+    if reached.size:
+        raise ModelError(
+            f"the information form is infinite because {part} level {reached[0]} "
+            "has zero initial population but is reached by the chain"
+        )
+    return kl_divergence(post, pre)
+
+
 @dataclass(frozen=True)
 class EntropyReport:
     """Average entropy production computed three independent ways."""
@@ -485,12 +589,14 @@ def average_entropy_production(
     information_form = (
         shannon_entropy(p)
         - shannon_entropy(realized.system_state.populations)
-        + kl_divergence(p, realized.system_state.populations)
+        + _relative_entropy(p, realized.system_state.populations, "system")
     )
     for stage, q_post in zip(realized.stages, q_posts):
         q_pre = stage.ancilla_state.populations
         information_form += (
-            shannon_entropy(q_post) - shannon_entropy(q_pre) + kl_divergence(q_post, q_pre)
+            shannon_entropy(q_post)
+            - shannon_entropy(q_pre)
+            + _relative_entropy(q_post, q_pre, f"ancilla {stage.index}")
         )
 
     values = (heat_average, trajectory_average, information_form)
@@ -506,72 +612,117 @@ def average_entropy_production(
     )
 
 
+def _chunks(records: Iterable[TrajectoryRecord]) -> Iterator[list[TrajectoryRecord]]:
+    """The records in lists of up to ``_BLOCK_SHOTS``, in order."""
+    records = iter(records)
+    while chunk := list(islice(records, _BLOCK_SHOTS)):
+        yield chunk
+
+
+class _Tally:
+    """Shot counts per heat key, in order of first appearance, and the ``exp(-sigma)`` sums.
+
+    Sampled shots of one model's tables are counted on the bytes of their
+    heat-id rows, and the law comes out in coded form on the model's heat
+    registry.  A shot of any other source (another model's records, or
+    records built by hand) turns the counts over to Fraction keys, which
+    merges equal heat tuples.
+    """
+
+    def __init__(self) -> None:
+        self.source: _SamplerTables | None = None  # whose codes key the counts, if any
+        self.counts: Counter = Counter()
+        self.seen = 0
+        self.n_collisions = 0
+        self.exp_sum = 0.0
+        self.exp_sq_sum = 0.0
+
+    def _to_heats(self) -> None:
+        if self.source is not None:
+            values, source = self.source.heat_fraction, self.source
+            self.counts = Counter({
+                tuple(map(values.__getitem__, _heat_ids(source, code))): count
+                for code, count in self.counts.items()
+            })
+            self.source = None
+
+    def count_block(self, tables: _SamplerTables, ids: np.ndarray) -> None:
+        """Count a block's ``(k, N)`` heat-id rows; every block comes from ``tables``."""
+        self.source = tables
+        codes, stride = ids.tobytes(), ids.itemsize * tables.n
+        self.counts.update(codes[s : s + stride] for s in range(0, len(codes), stride))
+        self.seen += len(ids)
+        self.n_collisions = tables.n
+
+    def count_records(self, records: list[TrajectoryRecord]) -> None:
+        """Count a chunk of records; sampled ones of one model on their codes."""
+        codes = [record.heat_code for record in records]
+        sources = {code and code[0] for code in codes}
+        if not self.seen and len(sources) == 1:
+            (self.source,) = sources  # None for records built by hand
+        if self.source is not None and sources == {self.source}:
+            self.counts.update(map(itemgetter(1), codes))
+        else:
+            self._to_heats()
+            self.counts.update(record.heats for record in records)
+        self.seen += len(records)
+        self.n_collisions = len(records[-1].heats)
+
+    def weigh(self, sigmas: Iterable[float]) -> None:
+        """Add ``exp(-sigma)`` and its square, strictly in shot order."""
+        for sigma in sigmas:
+            w = math.exp(-sigma)
+            self.exp_sum += w
+            self.exp_sq_sum += w * w
+
+    def empirical(self, shots: int | None) -> EmpiricalJoint:
+        total = shots if shots is not None else self.seen
+        if total != self.seen:
+            raise ValueError(f"received {self.seen} records, expected {total}")
+        if total == 0:
+            raise ValueError("need at least one record")
+        tallies = list(self.counts.values())
+        n = self.n_collisions
+        if self.source is not None:
+            ids = np.frombuffer(b"".join(self.counts), dtype=self.source.code_dtype)
+            codes = _Codes(self.source.heat_fraction, ids.reshape(-1, n), np.array(tallies) / total)
+            distribution = _coded_law(codes, "forward", n, 0.0)
+        else:
+            entries = dict(zip(self.counts, [count / total for count in tallies]))
+            distribution = JointHeatDistribution(entries, "forward", n)
+        empirical = object.__new__(EmpiricalJoint)  # stderr is built on first touch
+        for name, value in (("distribution", distribution), ("shots", total), ("_tallies", tallies)):
+            object.__setattr__(empirical, name, value)
+        return empirical
+
+    def summary(self, shots: int | None) -> SampleSummary:
+        empirical = self.empirical(shots)
+        total = empirical.shots
+        mean = self.exp_sum / total
+        variance = max(self.exp_sq_sum / total - mean * mean, 0.0)
+        return SampleSummary(
+            empirical=empirical,
+            integral_ft_mean=mean,
+            integral_ft_stderr=math.sqrt(variance / total),
+            shots=total,
+        )
+
+
 def empirical_joint(
     records: Iterable[TrajectoryRecord], shots: int | None = None
 ) -> EmpiricalJoint:
-    """Frequency estimate with exact keys and per-key standard errors."""
-    # Sampled records are counted on their compact heat code, and the
-    # Fraction key of each distinct code is built and hashed once, at the
-    # end.  Codes are only comparable within one model's tables; records of
-    # any other source, or built by hand, are counted on their Fraction key.
-    position: dict[bytes | HeatKey, int] = {}  # in order of first appearance
-    tallies: list[int] = []
-    source = None
-    seen = 0
-    for record in records:
-        code = record.heat_code
-        if code is not None and (source is None or code[0] is source):
-            source, key = code
-        else:
-            key = record.heats
-        at = position.get(key)
-        if at is None:
-            position[key] = len(tallies)
-            tallies.append(1)
-        else:
-            tallies[at] += 1
-        seen += 1
-    total = shots if shots is not None else seen
-    if total != seen:
-        raise ValueError(f"received {seen} records, expected {total}")
-    if total == 0:
-        raise ValueError("need at least one record")
-    n_collisions = len(record.heats)
-    values = source.heat_fraction if source is not None else ()
-    keys = [
-        tuple(map(values.__getitem__, _heat_ids(source, key))) if isinstance(key, bytes) else key
-        for key in position
-    ]
-    del position  # before the entries are built, which bounds peak memory
+    """Frequency estimate with exact keys and per-key standard errors.
 
-    entries = dict(zip(keys, [count / total for count in tallies]))
-    if len(entries) < len(keys):
-        # Records from several models (or built by hand) can share a heat
-        # tuple under different codes: merge their counts.
-        merged: dict[HeatKey, int] = {}
-        for key, count in zip(keys, tallies):
-            merged[key] = merged.get(key, 0) + count
-        keys, tallies = list(merged), list(merged.values())
-        entries = dict(zip(keys, [count / total for count in tallies]))
-
-    # dict.fromkeys on a dict reuses its stored hashes, so only keys whose
-    # count differs from the most common one are hashed again.
-    error = {}
-    for count in set(tallies):
-        p = count / total
-        error[count] = math.sqrt(p * (1.0 - p) / total)
-    common = Counter(tallies).most_common(1)[0][0]
-    stderr = dict.fromkeys(entries, error[common])
-    for key, count in zip(keys, tallies):
-        if count != common:
-            stderr[key] = error[count]
-    return EmpiricalJoint(
-        distribution=JointHeatDistribution(
-            entries=entries, direction="forward", n_collisions=n_collisions
-        ),
-        stderr=stderr,
-        shots=total,
-    )
+    Sampled records of one model are counted on their heat-id codes, and
+    the law comes out in coded form, as from :func:`_sample`: its
+    Fraction-keyed ``entries`` and the ``stderr`` map are built when first
+    touched, in order of first appearance.  Records of several models, or
+    built by hand, are counted on their Fraction keys instead.
+    """
+    tally = _Tally()
+    for chunk in _chunks(records):
+        tally.count_records(chunk)
+    return tally.empirical(shots)
 
 
 def summarize_samples(
@@ -580,26 +731,11 @@ def summarize_samples(
     """Aggregate records into the empirical law and the integral-identity mean.
 
     Single pass, nothing retained per shot, so arbitrarily long record
-    streams can be summarized.
+    streams can be summarized.  The law is counted as by
+    :func:`empirical_joint`, in coded form for sampled records.
     """
-    exp_sum = 0.0
-    exp_sq_sum = 0.0
-
-    def weighed() -> Iterator[TrajectoryRecord]:
-        nonlocal exp_sum, exp_sq_sum
-        for record in records:
-            w = math.exp(-record.sigma)
-            exp_sum += w
-            exp_sq_sum += w * w
-            yield record
-
-    empirical = empirical_joint(weighed(), shots)
-    total = empirical.shots
-    mean = exp_sum / total
-    variance = max(exp_sq_sum / total - mean * mean, 0.0)
-    return SampleSummary(
-        empirical=empirical,
-        integral_ft_mean=mean,
-        integral_ft_stderr=math.sqrt(variance / total),
-        shots=total,
-    )
+    tally = _Tally()
+    for chunk in _chunks(records):
+        tally.weigh([record.sigma for record in chunk])
+        tally.count_records(chunk)
+    return tally.summary(shots)

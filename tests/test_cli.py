@@ -317,3 +317,24 @@ class TestDispatch:
         path = write_model(tmp_path, {**CHAIN_DOCUMENT, "tolerance": -1e-9})
         assert dispatch([command, str(path)]) == 2
         assert "error: tolerance: must be at least 0" in capsys.readouterr().err
+
+
+def test_entropy_on_zero_population_level_exits_2(tmp_path, capsys):
+    # exp(-1000) underflows: the system starts with no mass on level 0 and
+    # the ancilla with none on level 1, and the swap fills both.
+    document = {
+        "system": {"energies": ["0", "1000"], "beta": -1.0},
+        "ancillas": [
+            {"energies": ["0", "1000"], "beta": 1.0,
+             "unitary": {"kind": "partial_swap", "theta": 0.7853981633974483}}
+        ],
+    }
+    path = write_model(tmp_path, document)
+    report = tmp_path / "entropy.json"
+    assert dispatch(["entropy", str(path), "--out", str(report)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: the information form is infinite because ")
+    assert "has zero initial population" in captured.err
+    assert "Traceback" not in captured.err
+    assert not report.exists()

@@ -71,6 +71,18 @@ GOLDEN = {
             "shots.jsonl": "72b03691b3544e499d845462b1473f02bae40b938128072d34b2e2d976812ad8",
         },
     ),
+    # Without --dump: the plain route, one worker and three.
+    "sample-plain-csv": (
+        ["sample", "resonant_chain.json", "--shots", "3000", "--seed", "5", "--out", "plain.csv"],
+        0,
+        {"plain.csv": "4c329ee5ad5b9e711259074b12a71c6532d3d0a747abcefdf4ce5cd749d9cc41"},
+    ),
+    "sample-plain-json": (
+        ["sample", "resonant_chain.json", "--shots", "2000", "--seed", "9", "--workers", "3",
+         "--out", "plain.json", "--format", "json"],
+        0,
+        {"plain.json": "8633b3a3272c49ba7c46549ed368901e6afae8ed4dc869fe760b691c9ccf4279"},
+    ),
 }
 
 
@@ -185,6 +197,16 @@ GOLDEN_LARGE = {
         ["entropy", "haar_d4_n4.json", "--out", "entropy_d4.json"],
         0,
         {"entropy_d4.json": "e2c12cd12f8c9bd930a5e8596194f07525cd2952e8c1d03b412e01c1a953fc60"},
+    ),
+    # One worker, 775 shots: the dump and the counts cross shot-block boundaries.
+    "sample-dump-haar-d3": (
+        ["sample", "haar_d3.json", "--shots", "775", "--seed", "11", "--workers", "1",
+         "--out", "haar_empirical.csv", "--dump", "haar_shots.jsonl"],
+        0,
+        {
+            "haar_empirical.csv": "7d0b3083b9c6cf95445c5387782d6552a200cccb74e8dca48d30ec83056664c3",
+            "haar_shots.jsonl": "608d19f962a50d1fb19dbf5309050086c38534523a9c6ef76a58eaee33e2a027",
+        },
     ),
 }
 
