@@ -42,9 +42,9 @@ from typing import Mapping, Sequence
 from .chain import assert_detailed_balance, realize_model
 from .heatstats import (
     DEFAULT_ENUMERATION_CAP,
+    _distribution_json_text,
     compare_distributions,
     distribution_to_csv,
-    distribution_to_json,
     exact_backward_joint,
     exact_forward_joint,
     exact_forward_joint_via_ancilla_paths,
@@ -63,7 +63,7 @@ from .model import (
 )
 from .sampler import (
     SamplerConfig,
-    _dump_lines,
+    _dump_text,
     _record_block,
     _sample,
     average_entropy_production,
@@ -282,7 +282,10 @@ def _finish_checks(
         "passed": all(c["passed"] for c in checks),
     }
     for check in checks:
-        _print_check(check["name"], check["passed"], f"max residual {check['max_residual']:.3e}")
+        detail = f"max residual {check['max_residual']:.3e}"
+        if check.get("support_mismatches"):  # a failure about support, not about a residual
+            detail += f"; {check['support_mismatches']} support mismatches"
+        _print_check(check["name"], check["passed"], detail)
     if args.out:
         _write_text(Path(args.out), _report_json(report))
     return 0 if report["passed"] else 1
@@ -294,7 +297,7 @@ def _backward_path(out: Path) -> Path:
 
 def _distribution_text(dist, fmt: str) -> str:
     if fmt == "json":
-        return _report_json(distribution_to_json(dist))
+        return _distribution_json_text(dist)
     return distribution_to_csv(dist, include_exact=True)
 
 
@@ -399,7 +402,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _dump_line(record) -> str:
     """The ``--dump`` line of a sampled record, from the formatter the command writes with."""
-    return _dump_lines(*_record_block(record))[0]
+    return _dump_text(*_record_block(record))[:-1]
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:

@@ -47,11 +47,23 @@ Enumeration caps apply to the exact number of nonzero paths, counted by an
 integer dynamic program over system levels before anything is built.  All
 three identity checks share one log-ratio loop, ``_check_log_ratio``, and
 differ only in their right-hand sides.
+
+Text output
+-----------
+The CSV and JSON exports and the sampler's ``--dump`` lines are written
+by one block formatter, ``_text_block``: a block of rows (512 keys of an
+export, one 256-shot block of a dump) is a ``(rows, cells)`` object array
+of text, joined once.  Each list column is one fancy index into a per-id
+table of cells whose separators are already appended (``_list_tables``),
+and the floats of a block are formatted by one call: ``repr`` for CSV,
+the JSON encoder for JSON, so ``NaN`` and ``Infinity`` follow JSON's
+rules.  The JSON export has the bytes of ``json.dumps(distribution_to_json
+(dist), indent=2)``, without the dict or the indenting encoder.
 """
 
 from __future__ import annotations
 
-import io
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -105,7 +117,7 @@ SUPPORT_FLOOR = 1e-13
 HeatKey = tuple[Fraction, ...]
 
 _CODE_LIMIT = 2**63  # int64 key codes stay below this
-_CSV_BLOCK_ROWS = 512
+_EXPORT_BLOCK_ROWS = 512  # keys per block of exported text
 _BLOCK_PATHS = 2**14  # paths per frontier expansion in _path_blocks
 
 
@@ -817,7 +829,54 @@ def integral_ft_expectation(forward: JointHeatDistribution, model: ModelConfig) 
 
 
 # ---------------------------------------------------------------------------
-# Serialization: CSV and JSON views of a distribution.
+# Serialization: CSV and JSON views of a distribution, written a block of
+# keys at a time by ``_text_block`` (see "Text output" above).
+
+
+def _cells(texts) -> np.ndarray:
+    """An object array of text cells, one per id, to be read by fancy indexing."""
+    return np.array(list(texts), dtype=object)
+
+
+def _list_tables(
+    texts: Sequence[str], separator: str, after: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cells of a list's items by id: text and separator inside the list, text and ``after`` last."""
+    return _cells(t + separator for t in texts), _cells(t + after for t in texts)
+
+
+def _list_cells(ids: np.ndarray, tables: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """The cells of each row's list of ids, from :func:`_list_tables`."""
+    middle, last = tables
+    cells = middle[ids]
+    cells[:, -1] = last[ids[:, -1]]
+    return cells
+
+
+def _text_block(rows: int, parts: Sequence) -> str:
+    """A block of rows as one string, built by one join.
+
+    A part is one cell that every row shares (a ``str``), or a ``(rows,)``
+    or ``(rows, k)`` object array of cells.  Cells carry their own
+    separators, so a row is its parts' cells concatenated in order.
+    """
+    columns = [part if isinstance(part, str) else part.reshape(rows, -1) for part in parts]
+    widths = [1 if isinstance(column, str) else column.shape[1] for column in columns]
+    cells = np.empty((rows, sum(widths)), dtype=object)
+    at = 0
+    for column, width in zip(columns, widths):
+        cells[:, at : at + width] = column
+        at += width
+    return "".join(cells.ravel().tolist())
+
+
+def _export_blocks(dist: JointHeatDistribution) -> Iterator[tuple[np.ndarray, list[float]]]:
+    """The law's id rows and masses in key order, ``_EXPORT_BLOCK_ROWS`` keys at a time."""
+    _, ids, masses = _codes(dist)
+    order = _key_order(ids)
+    for start in range(0, len(order), _EXPORT_BLOCK_ROWS):
+        block = order[start : start + _EXPORT_BLOCK_ROWS]
+        yield ids[block], masses[block].tolist()
 
 
 def distribution_to_csv(dist: JointHeatDistribution, include_exact: bool = False) -> str:
@@ -832,22 +891,51 @@ def distribution_to_csv(dist: JointHeatDistribution, include_exact: bool = False
     if include_exact:
         header += [f"Q_{i}_exact" for i in range(1, n + 1)]
 
-    # Each distinct heat value is formatted once and cells are read by id.
-    # Rows are read in blocks, which bounds the Python lists held alive.
-    values, ids, masses = _codes(dist)
-    order = _key_order(ids)
-    decimal = [format(float(q), ".12g") for q in values]
-    exact = [format_rational(q) for q in values]
-    out = io.StringIO()
-    out.write(",".join(header) + "\n")
-    for start in range(0, len(ids), _CSV_BLOCK_ROWS):
-        block = order[start : start + _CSV_BLOCK_ROWS]
-        for row, prob in zip(ids[block].tolist(), masses[block].tolist()):
-            fields = [*map(decimal.__getitem__, row), repr(prob)]
-            if include_exact:
-                fields += map(exact.__getitem__, row)
-            out.write(",".join(fields) + "\n")
-    return out.getvalue()
+    values, ids, _ = _codes(dist)
+    exact = include_exact and ids.shape[1] > 0
+    decimal = _cells(format(float(q), ".12g") + "," for q in values)
+    exact_tables = _list_tables([format_rational(q) for q in values], ",", "\n")
+    parts = [",".join(header) + "\n"]
+    for rows, probs in _export_blocks(dist):
+        tail = [",", _list_cells(rows, exact_tables)] if exact else ["\n"]
+        parts.append(_text_block(len(probs), [decimal[rows], _cells(map(repr, probs)), *tail]))
+    return "".join(parts)
+
+
+def _distribution_json_text(dist: JointHeatDistribution) -> str:
+    """``json.dumps(distribution_to_json(dist), indent=2) + "\\n"``, written in row blocks.
+
+    The entries are laid out as the indenting encoder lays them out, and
+    the probabilities are formatted by the JSON encoder itself, so the
+    float rules (``NaN``, ``Infinity``) are JSON's.
+    """
+    values, ids, _ = _codes(dist)
+    head = json.dumps(
+        {
+            "direction": dist.direction,
+            "n_collisions": dist.n_collisions,
+            "pruned_mass": dist.pruned_mass,
+            "entries": [],
+        },
+        indent=2,
+    )
+    if not len(ids):
+        return head + "\n"
+    heat_tables = _list_tables(
+        [json.dumps(format_rational(q)) for q in values],
+        ",\n        ",
+        '\n      ],\n      "probability": ',
+    )
+    width = ids.shape[1]
+    opening = ',\n    {\n      "heats": ' + ("[\n        " if width else '[],\n      "probability": ')
+    parts = [head[: -len("]\n}")]]
+    for rows, probs in _export_blocks(dist):
+        heats = [_list_cells(rows, heat_tables)] if width else []
+        probabilities = _cells(json.dumps(probs)[1:-1].split(", "))
+        parts.append(_text_block(len(probs), [opening, *heats, probabilities, "\n    }"]))
+    parts[1] = parts[1][1:]  # no comma before the first entry
+    parts.append("\n  ]\n}\n")
+    return "".join(parts)
 
 
 def distribution_to_json(dist: JointHeatDistribution) -> dict:

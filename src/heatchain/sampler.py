@@ -51,10 +51,14 @@ from .heatstats import (
     _ancilla_layers,
     _check_cap,
     _Codes,
+    _cells,
     _coded_law,
     _codes,
     _exponents,
+    _list_cells,
+    _list_tables,
     _path_blocks,
+    _text_block,
     exact_forward_joint,
 )
 from .model import (
@@ -208,7 +212,6 @@ class _SamplerTables:
         self.sys_heat_id = realized.system_heat_ids
         self.anc_heat_id = np.zeros((n, width, width), dtype=self.code_dtype)
         self.heat_value = np.array([float(value) for value in self.heat_fraction])
-        self.heat_text = [format_rational(value) for value in self.heat_fraction]
         self.row = np.zeros((n, model.system.dim, width), dtype=np.intp)
         rows: list[tuple[tuple[int, int, float], ...]] = []
         for i, stage in enumerate(realized.stages):
@@ -238,10 +241,15 @@ class _SamplerTables:
         self.level_dtype = np.min_scalar_type(model.system.dim - 1)
         self.pair_dtype = np.min_scalar_type(width * width - 1)
         self.pairs = [(n_in, n_out) for n_in in range(width) for n_out in range(width)]
-        # JSON text of each level, ancilla pair and heat, for the dump lines.
-        self.level_json = [json.dumps(a) for a in range(model.system.dim)]
-        self.pair_json = [json.dumps(pair) for pair in self.pairs]
-        self.heat_json = [json.dumps(text) for text in self.heat_text]
+        # Dump-line cells of each level, ancilla pair and heat, as JSON text
+        # followed by what comes after it in a line: a comma inside a list,
+        # the next key after the last item.
+        levels = [json.dumps(a) for a in range(model.system.dim)]
+        pairs = [json.dumps(pair) for pair in self.pairs]
+        heats = [json.dumps(format_rational(value)) for value in self.heat_fraction]
+        self.level_cells = _list_tables(levels, ", ", '], "ancilla_pairs": [')
+        self.pair_cells = _list_tables(pairs, ", ", '], "heats": [')
+        self.heat_cells = _list_tables(heats, ", ", '], "sigma": ')
 
 
 @lru_cache(maxsize=64)
@@ -348,27 +356,31 @@ def _records(
         yield record
 
 
-def _dump_lines(
+def _dump_text(
     tables: _SamplerTables,
     alphas: np.ndarray,
     pair_codes: np.ndarray,
     ids: np.ndarray,
     sigma: np.ndarray,
-) -> list[str]:
+) -> str:
     """One JSON line per row of :func:`_advance`'s arrays: levels, ancilla pairs, exact heats, sigma.
 
-    Each cell is looked up as text, and the sigmas are formatted by one
-    ``json.dumps`` call, so a line has the bytes ``json.dumps`` gives the
-    shot's record as a dict.
+    Each list is read from the tables' dump-line cells by fancy indexing,
+    the sigmas are formatted by one ``json.dumps`` call, and the block is
+    joined once, so a line has the bytes ``json.dumps`` gives the shot's
+    record as a dict.
     """
-    levels, pairs, heats = tables.level_json, tables.pair_json, tables.heat_json
-    sigmas = json.dumps(sigma.tolist())[1:-1].split(", ")
-    return [
-        f'{{"alphas": [{", ".join(map(levels.__getitem__, a))}], '
-        f'"ancilla_pairs": [{", ".join(map(pairs.__getitem__, m))}], '
-        f'"heats": [{", ".join(map(heats.__getitem__, h))}], "sigma": {s}}}'
-        for a, m, h, s in zip(alphas.tolist(), pair_codes.tolist(), ids.tolist(), sigmas)
-    ]
+    return _text_block(
+        len(sigma),
+        [
+            '{"alphas": [',
+            _list_cells(alphas, tables.level_cells),
+            _list_cells(pair_codes, tables.pair_cells),
+            _list_cells(ids, tables.heat_cells),
+            _cells(json.dumps(sigma.tolist())[1:-1].split(", ")),
+            "}\n",
+        ],
+    )
 
 
 def _record_block(record: TrajectoryRecord) -> tuple:
@@ -387,14 +399,18 @@ def _record_block(record: TrajectoryRecord) -> tuple:
 def _block_uniforms(
     streams: list[np.random.Generator], start: int, size: int, width: int
 ) -> np.ndarray:
-    """Uniform rows of shots ``start .. start + size - 1``, shot ``j`` from stream ``j mod W``."""
+    """Uniform rows of shots ``start .. start + size - 1``, shot ``j`` from stream ``j mod W``.
+
+    Only the streams that serve a shot of the block are drawn from.
+    """
     workers = len(streams)
     if workers == 1:  # filled in place, without a second block-sized buffer
         return streams[0].random((size, width))
     u = np.empty((size, width))
-    for w, rng in enumerate(streams):
-        first = (w - start) % workers  # block row of worker w's next shot
-        u[first::workers] = rng.random((len(range(first, size, workers)), width))
+    for first in range(min(workers, size)):  # block row of a worker's first shot here
+        u[first::workers] = streams[(start + first) % workers].random(
+            (len(range(first, size, workers)), width)
+        )
     return u
 
 
@@ -407,7 +423,10 @@ def sample_trajectory(model: ModelConfig, rng: np.random.Generator) -> Augmented
 
 def _blocks(tables: _SamplerTables, config: SamplerConfig) -> Iterator[tuple[np.ndarray, ...]]:
     """:func:`_advance`'s arrays for each block of ``config.shots`` shots, in shot order."""
-    streams = [substream(config.master_seed, w) for w in range(config.worker_count)]
+    # Shot j is served by worker j mod W, so with W >= shots worker j serves
+    # shot j alone, and workers past the last shot are never built.
+    workers = min(config.worker_count, config.shots)
+    streams = [substream(config.master_seed, w) for w in range(workers)]
     width = 1 + 2 * tables.n
     for start in range(0, config.shots, _BLOCK_SHOTS):
         size = min(_BLOCK_SHOTS, config.shots - start)
@@ -440,7 +459,7 @@ def _sample(
     tally = _Tally()
     for alphas, pair_codes, ids, sigma, _ in _blocks(tables, config):
         if dump is not None:
-            dump("".join(line + "\n" for line in _dump_lines(tables, alphas, pair_codes, ids, sigma)))
+            dump(_dump_text(tables, alphas, pair_codes, ids, sigma))
         tally.count_block(tables, ids)
         tally.weigh(sigma.tolist())
     return tally.summary(config.shots)

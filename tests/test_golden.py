@@ -105,6 +105,21 @@ def test_outputs_match_golden_digests(workdir, name):
     assert actual == digests
 
 
+def test_failing_verify_names_its_support_mismatches(workdir, capsys):
+    argv, expected_exit, digests = GOLDEN["verify-stiff"]
+    assert dispatch(argv) == expected_exit
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:4] == [
+        "route_equivalence: pass (max residual 1.110e-16)",
+        "joint_ft: FAIL (max residual 3.553e-15; 6 support mismatches)",
+        "product_relation: FAIL (max residual 3.553e-15; 3 support mismatches)",
+        "partial_decomposition: FAIL (max residual 3.553e-15; 3 support mismatches)",
+    ]
+    assert {
+        path: hashlib.sha256((workdir / path).read_bytes()).hexdigest() for path in digests
+    } == digests
+
+
 # Larger models, where many paths merge onto one heat tuple and the order of
 # the float sums shows.  The N=10 chain has a theta=pi/2 collision, whose
 # 3.7e-33 stay-put weights leave keys below ``PRUNE_THRESHOLD``, and a
@@ -161,6 +176,16 @@ HAAR_D4_N4 = {
     "master_seed": 29,
 }
 
+# 3367 keys per law: the JSON export spans several blocks of rows.
+HAAR_D4_N5 = {
+    "system": {"energies": ["0", "1/3", "2/3", "1"], "beta": 1.0},
+    "ancillas": [
+        {"energies": ["0", "1/3", "2/3", "1"], "beta": beta, "unitary": {"kind": "haar"}}
+        for beta in (0.7, 1.5, 1.1, 0.9, 1.3)
+    ],
+    "master_seed": 31,
+}
+
 GOLDEN_LARGE = {
     "exact-csv-resonant-ten": (
         ["exact", "resonant_ten.json", "--out", "ten.csv"],
@@ -176,6 +201,14 @@ GOLDEN_LARGE = {
         {
             "haar.json": "cae6c1b151e4d28aa274ebfde9f5d82fb1319223cf8715235a4d63629d29c4ec",
             "haar.backward.json": "18240d61ea624567f69975b454989d176344c10a80b4adfeaad06d3fb520d18c",
+        },
+    ),
+    "exact-json-haar-d4-n5": (
+        ["exact", "haar_d4_n5.json", "--out", "haar5.json", "--format", "json"],
+        0,
+        {
+            "haar5.json": "bc79d3fc86e3de5d9acc25a65456d1b623474b26bd7bc1ec6490ed22228819f7",
+            "haar5.backward.json": "40520a89f6462e90772fe2e9aa24403e9142103c8f0e2d9d7bcaa0e0f22694ab",
         },
     ),
     "verify-resonant-eight": (
@@ -220,6 +253,7 @@ def large_workdir(tmp_path, monkeypatch):
         ("haar_d3.json", HAAR_D3),
         ("haar_d3_n5.json", HAAR_D3_N5),
         ("haar_d4_n4.json", HAAR_D4_N4),
+        ("haar_d4_n5.json", HAAR_D4_N5),
     ):
         (tmp_path / name).write_text(json.dumps(document), encoding="utf-8")
     monkeypatch.chdir(tmp_path)

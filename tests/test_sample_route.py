@@ -19,6 +19,7 @@ from heatchain import cli, sampler
 from heatchain.cli import _distribution_text, dispatch, load_model_file
 from heatchain.model import ConsistencyError
 from heatchain.sampler import SamplerConfig, iter_trajectories, summarize_samples
+from heatchain.streams import substream
 
 QUARTER = math.pi / 4
 
@@ -190,3 +191,26 @@ def test_dump_line_is_the_json_of_the_record(tmp_path):
             "heats": [f"{q.numerator}/{q.denominator}" for q in record.heats],
             "sigma": record.sigma,
         })
+
+
+def test_workers_past_the_last_shot_build_no_stream(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(DOCUMENTS["haar_d3"]), encoding="utf-8")
+    built = []
+
+    def counting(*key):
+        built.append(key)
+        return substream(*key)
+
+    monkeypatch.setattr(sampler, "substream", counting)
+    outputs = {}
+    for workers in (5000, 10):
+        built.clear()
+        out, dump = tmp_path / f"w{workers}.csv", tmp_path / f"w{workers}.jsonl"
+        argv = ["sample", str(path), "--shots", "10", "--seed", "4", "--workers", str(workers),
+                "--out", str(out), "--dump", str(dump)]
+        assert dispatch(argv) == 0
+        assert built == [(4, w) for w in range(10)]
+        assert f"across {workers} worker streams" in capsys.readouterr().out
+        outputs[workers] = (out.read_bytes(), dump.read_bytes())
+    assert outputs[5000] == outputs[10]
