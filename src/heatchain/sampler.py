@@ -11,10 +11,13 @@ aggregated in shot order, so output depends only on (master_seed,
 worker_count), never on scheduling.  Every shot consumes exactly ``1 + 2N``
 uniforms from its worker's stream, in order.  Shots are drawn in blocks:
 each worker fills its rows of a ``(shots, 1 + 2N)`` uniform array from one
-``random`` call, which reads the same uniforms as that many scalar draws,
-and the whole block is then advanced one collision at a time with array
-lookups.  Everything runs on one thread; the stream layout is what
-guarantees that a parallel execution would reproduce the same numbers.
+``random`` call, which reads the same uniforms as that many scalar draws.
+A block picks the ancilla levels of all collisions at once; only the jump
+picks walk the collisions in turn, since a jump's CDF row depends on the
+current system level, and what the picked jumps determine (levels, heat
+ids, both forms of sigma) is then read for all collisions at once.
+Everything runs on one thread; the stream layout is what guarantees that
+a parallel execution would reproduce the same numbers.
 
 The per-shot consistency checks (system-side against ancilla-side heat,
 heat form against log form of the entropy production) are evaluated for a
@@ -37,7 +40,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
+from itertools import accumulate, islice
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -183,68 +186,96 @@ def _logs(values) -> list[float]:
 
 
 class _SamplerTables:
-    """Padded arrays that let a block of shots advance one collision at a time.
+    """Flat lookup arrays that let a block of shots walk the chain's jumps.
 
     Heats are small integer ids in the model's registry
     (``RealizedModel.heat_values``), so the per-shot equality check between
     system-side and ancilla-side heat bookkeeping is an integer comparison
     while staying exact, and a record's heat tuple is a short byte string.
-    The rows of every ``CollisionStage.outcomes`` table are stacked into
-    padded per-row arrays; ``row[i, alpha, n]`` is the row of joint input
-    ``(alpha, n)`` at collision ``i``.  CDF padding is +inf, never picked.
+
+    The CDFs are stored so that a pick needs no clamp: each row's last real
+    entry is +inf, like its padding, so the count of entries ``<= u`` is
+    ``bisect_right`` clamped to the row's last index.  ``anc_columns[c, i]``
+    is entry ``c`` of collision ``i``'s ancilla CDF, one column per array
+    row.  Jumps are stored flat, ``span`` slots per ``CollisionStage.outcomes``
+    row, one slot per outcome: ``row_start[alpha * N * width + i * width +
+    n]`` is the first slot of joint input ``(alpha, n)`` at collision ``i``,
+    and ``cdf[slot]`` is the row's CDF entry there, so stepping on to the
+    next slot while that entry is ``<= u`` stops on the pick within
+    ``span - 1`` steps.  The other slot tables hold what an outcome
+    determines: its system level (also pre-scaled by ``N * width``, for the
+    next ``row_start`` read), its system-side heat id, its ancilla pair
+    code, its heat-form term of sigma and its term of the log path
+    probability.  The ancilla side of each consistency check, heat ids and
+    the log form of sigma, is read from ``anc_heat_id`` and ``log_q`` at
+    sampling time instead.
     """
 
     def __init__(self, model: ModelConfig) -> None:
         realized = realize_model(model)
         n = self.n = model.n_collisions
-        self.beta_diff = np.array([anc.beta - model.system_beta for anc in model.ancillas])
+        dim = model.system.dim
+        beta_diff = [anc.beta - model.system_beta for anc in model.ancillas]
 
         p0 = realized.system_state.populations
         self.p0_cum = np.cumsum(p0)
         self.log_p0 = np.array(_logs(p0))
 
         width = self.width = max(stage.spectrum.dim for stage in realized.stages)
-        self.anc_dim = [stage.spectrum.dim for stage in realized.stages]
-        self.anc_cum = np.full((n, width), np.inf)
+        self.anc_columns = np.full((width - 1, n), np.inf)
         self.log_q = np.zeros((n, width))
         self.heat_fraction: tuple[Fraction, ...] = realized.heat_values
         self.code_dtype = realized.system_heat_ids.dtype
-        self.sys_heat_id = realized.system_heat_ids
         self.anc_heat_id = np.zeros((n, width, width), dtype=self.code_dtype)
-        self.heat_value = np.array([float(value) for value in self.heat_fraction])
-        self.row = np.zeros((n, model.system.dim, width), dtype=np.intp)
-        rows: list[tuple[tuple[int, int, float], ...]] = []
+        rows: list[tuple[int, int, int, tuple[tuple[int, int, float], ...]]] = []
+        row_of = np.zeros((dim, n, width), dtype=np.intp)
         for i, stage in enumerate(realized.stages):
             q = stage.ancilla_state.populations
-            dim = len(q)
-            self.anc_cum[i, :dim] = np.cumsum(q)
-            self.log_q[i, :dim] = _logs(q)
-            self.anc_heat_id[i, :dim, :dim] = realized.ancilla_heat_ids[i]
+            self.anc_columns[: len(q) - 1, i] = np.cumsum(q)[:-1]
+            self.log_q[i, : len(q)] = _logs(q)
+            self.anc_heat_id[i, : len(q), : len(q)] = realized.ancilla_heat_ids[i]
             for (alpha, n_in), outcomes in stage.outcomes.items():
-                self.row[i, alpha, n_in] = len(rows)
-                rows.append(outcomes)
+                row_of[alpha, i, n_in] = len(rows)
+                rows.append((i, alpha, n_in, outcomes))
 
-        span = max(len(outcomes) for outcomes in rows)
-        self.row_len = np.array([len(outcomes) for outcomes in rows])
-        self.row_cum = np.full((len(rows), span), np.inf)
-        self.row_alpha = np.zeros((len(rows), span), dtype=np.intp)
-        self.row_n_out = np.zeros((len(rows), span), dtype=np.intp)
-        self.row_log = np.zeros((len(rows), span))
-        for r, outcomes in enumerate(rows):
-            k = len(outcomes)
-            weights = [w for _, _, w in outcomes]
-            self.row_cum[r, :k] = np.cumsum(weights)
-            self.row_alpha[r, :k] = [a for a, _, _ in outcomes]
-            self.row_n_out[r, :k] = [n_out for _, n_out, _ in outcomes]
-            self.row_log[r, :k] = _logs(weights)
-
-        self.level_dtype = np.min_scalar_type(model.system.dim - 1)
+        span = max(len(outcomes) for *_, outcomes in rows)
+        self.steps = span - 1
+        self.row_start = row_of.reshape(-1) * span
+        heat_value = [float(value) for value in self.heat_fraction]
+        sys_heat_id = realized.system_heat_ids.tolist()
+        log_q = self.log_q.tolist()
+        slots = []
+        for i, alpha, n_in, outcomes in rows:
+            cdf = list(accumulate(w for _, _, w in outcomes))
+            cdf[-1] = math.inf
+            for entry, (alpha_out, n_out, w) in zip(cdf, outcomes):
+                hid = sys_heat_id[alpha][alpha_out]
+                slots.append((
+                    entry, alpha_out, hid, n_in * width + n_out,
+                    beta_diff[i] * heat_value[hid], log_q[i][n_in] + math.log(w),
+                ))
+            slots += [(math.inf, 0, 0, 0, 0.0, 0.0)] * (span - len(outcomes))
+        cdf, level, heat, pair, sigma_term, log_p_term = zip(*slots)
+        self.cdf = np.array(cdf)
+        self.level_dtype = np.min_scalar_type(dim - 1)
+        self.level = np.array(level, dtype=self.level_dtype)
+        stride = n * width
+        self.scaled_level = np.array(
+            [a * stride for a in level], dtype=np.min_scalar_type((dim - 1) * stride)
+        )
+        self.heat = np.array(heat, dtype=self.code_dtype)
         self.pair_dtype = np.min_scalar_type(width * width - 1)
+        self.pair = np.array(pair, dtype=self.pair_dtype)
+        self.sigma_term = np.array(sigma_term)
+        self.log_p_term = np.array(log_p_term)
+        self.cell_offset = np.arange(n) * width
+        self.move_offset = self.cell_offset * width
+
         self.pairs = [(n_in, n_out) for n_in in range(width) for n_out in range(width)]
         # Dump-line cells of each level, ancilla pair and heat, as JSON text
         # followed by what comes after it in a line: a comma inside a list,
         # the next key after the last item.
-        levels = [json.dumps(a) for a in range(model.system.dim)]
+        levels = [json.dumps(a) for a in range(dim)]
         pairs = [json.dumps(pair) for pair in self.pairs]
         heats = [json.dumps(format_rational(value)) for value in self.heat_fraction]
         self.level_cells = _list_tables(levels, ", ", '], "ancilla_pairs": [')
@@ -267,43 +298,74 @@ def _pick(cum: np.ndarray, length, u: np.ndarray) -> np.ndarray:
     return np.minimum((cum <= u[:, None]).sum(axis=1), length - 1)
 
 
+def _walk(
+    tables: _SamplerTables, slots: np.ndarray, level: np.ndarray, jump_u: np.ndarray
+) -> None:
+    """Pick each collision's jump in turn: the one serial step of the sampler.
+
+    On entry ``slots[i]`` holds collision ``i``'s ancilla entry cell, ``i *
+    width + n_in``; ``level`` is the initial system level times ``N *
+    width`` and ``jump_u[i]`` the jump uniforms of collision ``i``.  Each
+    collision reads its row's first slot at the cell plus the scaled level,
+    steps on while the row's CDF entry is ``<= u``, and leaves the picked
+    slot in ``slots[i]``.
+    """
+    for slot, u_i in zip(slots, jump_u):
+        slot += level
+        tables.row_start.take(slot, out=slot)
+        for _ in range(tables.steps):
+            slot += tables.cdf.take(slot) <= u_i
+        level = tables.scaled_level.take(slot)
+
+
 def _advance(tables: _SamplerTables, u: np.ndarray) -> tuple[np.ndarray, ...]:
     """Advance the shots whose uniforms are the rows of ``u`` through every collision.
 
     Column 0 picks the initial level; columns ``1 + 2i`` and ``2 + 2i`` pick
-    the ancilla level and the jump of collision ``i``.  The float sums run
-    in the same order, with the same operations, as a shot-by-shot loop.
-    Returns per-shot arrays: system levels, ancilla (in, out) pair codes,
-    heat ids, sigma and the log path probability.
+    the ancilla level and the jump of collision ``i``.  Only the jump picks
+    are made one collision at a time (:func:`_walk`), since a jump's CDF row
+    depends on the current system level.  The ancilla picks of all
+    collisions come before that walk, and everything read off the picked
+    slots after it, each for the whole ``(N, k)`` block in a few calls.
+    The float sums add the same terms in the same order as a shot-by-shot
+    loop, so every bit agrees with it.  Returns per-shot arrays: system
+    levels, ancilla (in, out) pair codes, heat ids, sigma and the log path
+    probability.
     """
     k, n = len(u), tables.n
-    alphas = np.empty((k, n + 1), dtype=tables.level_dtype)
-    pair_codes = np.empty((k, n), dtype=tables.pair_dtype)
-    ids = np.empty((k, n), dtype=tables.code_dtype)
     alpha = _pick(tables.p0_cum, len(tables.p0_cum), u[:, 0])
+    slots = np.empty((n, k), dtype=np.intp)
+    slots[:] = tables.cell_offset[:, None]
+    for column in tables.anc_columns:
+        slots += column[:, None] <= u[:, 1::2].T
+    _walk(tables, slots, alpha * (n * tables.width), u[:, 2::2].T.copy())
+
+    pairs = tables.pair.take(slots)
+    heats = tables.heat.take(slots)
+    alphas = np.empty((k, n + 1), dtype=tables.level_dtype)
     alphas[:, 0] = alpha
-    log_p = tables.log_p0[alpha]
-    sigma = np.zeros(k)
-    sigma_log_form = tables.log_p0[alpha]
-    heats_agree = np.ones(k, dtype=bool)
+    alphas[:, 1:] = tables.level.take(slots).T
+    # Flat index of each collision's ancilla move (i, n_in, n_out).
+    moves = pairs + tables.move_offset[:, None]
+    heats_agree = (heats == tables.anc_heat_id.reshape(-1).take(moves)).all(axis=0)
+    log_q = tables.log_q[:, :, None]
+    # Row 1 + i holds collision i's terms of sigma, of its log form and of
+    # the log path probability, and row 0 their starting values.  Whole-row
+    # assignments: a ufunc writing into a strided plane copies its operands.
+    sums = np.empty((n + 1, 3, k))
     with np.errstate(invalid="ignore"):  # -inf logs of empty levels, as with floats
-        for i in range(n):
-            n_in = _pick(tables.anc_cum[i], tables.anc_dim[i], u[:, 1 + 2 * i])
-            row = tables.row[i, alpha, n_in]
-            j = _pick(tables.row_cum[row], tables.row_len[row], u[:, 2 + 2 * i])
-            alpha_next = tables.row_alpha[row, j]
-            n_out = tables.row_n_out[row, j]
-            hid = tables.sys_heat_id[alpha, alpha_next]
-            heats_agree &= hid == tables.anc_heat_id[i, n_in, n_out]
-            log_q = tables.log_q[i]
-            sigma += tables.beta_diff[i] * tables.heat_value[hid]
-            sigma_log_form += log_q[n_in] - log_q[n_out]
-            log_p += log_q[n_in] + tables.row_log[row, j]
-            ids[:, i] = hid
-            pair_codes[:, i] = n_in * tables.width + n_out
-            alphas[:, i + 1] = alpha_next
-            alpha = alpha_next
-        sigma_log_form -= tables.log_p0[alpha]
+        sums[0, 0] = 0.0  # all-zero heats then sum to +0.0, never -0.0
+        sums[0, 1:] = tables.log_p0[alpha]
+        sums[1:, 0] = tables.sigma_term.take(slots)
+        sums[1:, 1] = (log_q - log_q.transpose(0, 2, 1)).reshape(-1).take(moves)
+        sums[1:, 2] = tables.log_p_term.take(slots)
+        # One whole row per call, strictly in collision order, as a loop adds:
+        # np.sum adds pairwise, and np.cumsum runs down one column at a time.
+        totals = sums[0].copy()
+        for row in sums[1:]:
+            totals += row
+        sigma, sigma_log_form, log_p = totals
+        sigma_log_form -= tables.log_p0[alphas[:, -1]]
         failed = np.flatnonzero(
             ~heats_agree | (np.abs(sigma - sigma_log_form) > SIGMA_CONSISTENCY_TOL)
         )
@@ -318,7 +380,7 @@ def _advance(tables: _SamplerTables, u: np.ndarray) -> tuple[np.ndarray, ...]:
             f"entropy production mismatch: heat form {float(sigma[shot])!r}, "
             f"log form {float(sigma_log_form[shot])!r}"
         )
-    return alphas, pair_codes, ids, sigma, log_p
+    return alphas, pairs.T.copy(), heats.T.copy(), sigma, log_p
 
 
 def _heat_ids(tables: _SamplerTables, code: bytes) -> memoryview:

@@ -349,16 +349,18 @@ def transition_tensor(unitary: CollisionUnitary) -> TransitionTensor:
     Unitarity makes every block doubly stochastic: each input's exit
     probabilities and each output's entry probabilities sum to one.
     """
-    probs = []
-    for shell, block in zip(unitary.shells, unitary.blocks):
-        mat = np.abs(block) ** 2
-        col_sums = mat.sum(axis=0)
-        if not np.allclose(col_sums, 1.0, atol=1e-10):
-            raise ModelError(
-                f"block at total energy {format_rational(shell.total_energy)} is not "
-                "unitary: exit probabilities do not sum to 1"
-            )
-        probs.append(mat)
+    probs = [np.abs(block) ** 2 for block in unitary.blocks]
+    col_sums = np.concatenate([mat.sum(axis=0) for mat in probs])
+    # The test np.allclose(col_sums, 1.0, atol=1e-10) makes, written out: its
+    # default rtol=1e-5 adds 1e-5 to the slack, and NaN is never close.
+    failed = np.flatnonzero(~(np.abs(col_sums - 1.0) <= 1e-10 + 1e-5))
+    if failed.size:
+        ends = np.cumsum([mat.shape[1] for mat in probs])
+        shell = unitary.shells[np.searchsorted(ends, failed[0], side="right")]
+        raise ModelError(
+            f"block at total energy {format_rational(shell.total_energy)} is not "
+            "unitary: exit probabilities do not sum to 1"
+        )
     d_system = 1 + max(a for shell in unitary.shells for a, _ in shell.members)
     d_ancilla = 1 + max(n for shell in unitary.shells for _, n in shell.members)
     return TransitionTensor(

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import itertools
 import math
+import tracemalloc
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
@@ -475,6 +476,81 @@ class TestBlockSamplerMatchesReference:
         # The Philox state holds small arrays; their repr compares every entry.
         assert repr(rng.bit_generator.state) == repr(expected.bit_generator.state)
         assert trajectory == reference_record(ReferenceTables(model), substream(21)).trajectory
+
+
+class StubRng:
+    """Hands out the given uniforms one ``random()`` call at a time."""
+
+    def __init__(self, values) -> None:
+        self.values = iter(values)
+
+    def random(self) -> float:
+        return next(self.values)
+
+
+def identity_hot_ancillas_model() -> ModelConfig:
+    # Ancillas hotter than the system: every heat term is (0.5 - 1) * 0 = -0.0.
+    ancillas = tuple(AncillaSpec(qubit(), 0.5, UnitarySpec.identity()) for _ in range(3))
+    return ModelConfig(system=qubit(), system_beta=1.0, ancillas=ancillas, master_seed=0)
+
+
+CRAFTED_MODELS = {**ORACLE_MODELS, "identity_hot_ancillas": identity_hot_ancillas_model}
+
+
+def crafted_rows(tables: ReferenceTables) -> np.ndarray:
+    """Uniform rows built from every CDF entry below 1, ``0.0`` and ``1 - 2**-53``.
+
+    A draw equal to a CDF entry is a tie that ``bisect_right`` must step
+    past; ``1 - 2**-53`` is past the last entry of any row summing below 1,
+    where the pick is clamped.  One constant row per value, then rows mixing
+    the values at random.
+    """
+    entries = {*tables.p0_cum, *itertools.chain.from_iterable(tables.anc_cum)}
+    for rows in tables.rows:
+        for cum, _, _ in rows.values():
+            entries.update(cum)
+    values = sorted(v for v in entries | {0.0, 1 - 2**-53} if v < 1.0)
+    width = 1 + 2 * tables.n
+    mixed = np.random.default_rng(7).choice(values, size=(2 * BLOCK, width))
+    return np.vstack([np.repeat(np.array(values)[:, None], width, axis=1), mixed])
+
+
+class TestCraftedUniforms:
+    @pytest.mark.parametrize("name", sorted(CRAFTED_MODELS))
+    def test_advance_matches_reference_on_ties_and_clamps(self, name):
+        model = CRAFTED_MODELS[name]()
+        reference = ReferenceTables(model)
+        rows = crafted_rows(reference)
+        tables = sampler._tables(model)
+        fast = [bits(r) for r in sampler._records(tables, *sampler._advance(tables, rows))]
+        slow = [bits(reference_record(reference, StubRng(row.tolist()))) for row in rows]
+        assert fast == slow
+
+    def test_all_zero_heats_sum_to_positive_zero(self):
+        model = identity_hot_ancillas_model()
+        tables = sampler._tables(model)
+        alphas, pair_codes, ids, sigma, _ = sampler._advance(
+            tables, crafted_rows(ReferenceTables(model))
+        )
+        assert [x.hex() for x in sigma.tolist()] == ["0x0.0p+0"] * len(sigma)
+        lines = sampler._dump_text(tables, alphas, pair_codes, ids, sigma).splitlines()
+        assert all(line.endswith('"sigma": 0.0}') for line in lines)
+
+
+def test_advance_memory_stays_within_a_few_uniform_blocks():
+    # The block arrays are per block and narrow: the traced peak of one
+    # N=60 block stays below four times its uniforms.
+    model = resonant_model([0.7 + 0.01 * i for i in range(60)])
+    tables = sampler._tables(model)
+    u = substream(3).random((BLOCK, 1 + 2 * model.n_collisions))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        sampler._advance(tables, u)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * u.nbytes
 
 
 class TestVectorizedChecks:

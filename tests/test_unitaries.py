@@ -250,3 +250,30 @@ class TestTransitionTensor:
             for probs in tensor.probs:
                 assert np.allclose(probs.sum(axis=0), 1.0, atol=1e-10)
                 assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-10)
+
+
+class TestColumnSumCheck:
+    """The exit-probability check keeps ``np.allclose``'s default ``rtol=1e-5``.
+
+    So it accepts column sums within ``1e-10 + 1e-5`` of 1, looser than its
+    ``atol=1e-10`` suggests, and names the first shell that fails.
+    """
+
+    @staticmethod
+    def scaled(excess: float, failing: tuple[int, ...]) -> CollisionUnitary:
+        shells = build_energy_shells(spectrum("0", "1"), spectrum("0", "1"))
+        blocks = [np.eye(shell.size, dtype=complex) for shell in shells]
+        for k in failing:
+            blocks[k] = blocks[k] * math.sqrt(1 + excess)
+        return CollisionUnitary(shells=shells, blocks=tuple(blocks))
+
+    @pytest.mark.parametrize(
+        "failing, energy", [((1, 2), "1/1"), ((2,), "2/1"), ((0, 2), "0/1")]
+    )
+    def test_sums_off_by_1e_3_raise_naming_the_first_shell(self, failing, energy):
+        with pytest.raises(ModelError, match=f"block at total energy {energy} is not unitary"):
+            transition_tensor(self.scaled(1e-3, failing))
+
+    def test_sums_off_by_1e_7_pass(self):
+        tensor = transition_tensor(self.scaled(1e-7, (0, 1, 2)))
+        assert tensor.probs[1].sum(axis=0) == pytest.approx([1 + 1e-7] * 2, abs=1e-15)
