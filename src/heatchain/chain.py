@@ -7,6 +7,20 @@ forward paths are weighted by the propagators applied in collision order
 starting from the system's thermal state, backward paths by the same
 matrices with reversed argument order and reversed application order,
 starting again from the thermal state.
+
+Realization.  What depends on the spectra alone is built once per
+distinct ancilla spectrum within one :func:`realize_model` call and shared,
+read-only, by every collision on it: the shells tuple (cached by
+``build_energy_shells``, so sub-models reuse it too), its flat index
+arrays, and the heat-id tables of ``RealizedModel``, whose registry is
+built from the distinct spectra.  What differs per collision is stacked:
+each collision's blocks are one flat row, shell by shell; the Haar shells
+of all collisions are drawn each from its own stream and put through one
+QR and one phase fix per shell size; and the squared moduli, the exit-sum
+check and the propagators (one ordered ``np.add.at``) are computed for
+all collisions on one spectrum at once.  Stages hold read-only views of
+those rows.  Every number is the one a collision-by-collision realization
+gives, bit for bit, whatever the other collisions of a stack are.
 """
 
 from __future__ import annotations
@@ -20,13 +34,21 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .model import ModelConfig, ModelError, Spectrum, ThermalState, gibbs_state
+from .streams import substream
 from .unitaries import (
     CollisionUnitary,
     EnergyShell,
     TransitionTensor,
+    _ShellIndex,
+    _fixed_blocks,
+    _haar_stack,
+    _jump_probabilities,
+    _not_unitary,
+    _row_blocks,
+    _shell_index,
+    _stream_tag,
+    _tensors,
     build_energy_shells,
-    realize_unitary,
-    transition_tensor,
 )
 
 __all__ = [
@@ -72,15 +94,27 @@ def propagator_from_tensor(
             f"ancilla state has {len(q)} levels, transition tensor expects "
             f"{tensor.d_ancilla}"
         )
-    m = np.zeros((tensor.d_system, tensor.d_system))
-    for shell, probs in zip(tensor.shells, tensor.probs):
-        sys_labels = [a for a, _ in shell.members]
-        weights = np.array([q[n] for _, n in shell.members])
-        weighted = probs * weights  # column j scaled by q(n_j)
-        for j, a_in in enumerate(sys_labels):
-            for i, a_out in enumerate(sys_labels):
-                m[a_out, a_in] += weighted[i, j]
-    return Propagator(matrix=m, collision_index=collision_index)
+    probs = np.concatenate([mat.ravel() for mat in tensor.probs])[None]
+    matrix = _propagator_stack(_shell_index(tensor.shells), tensor.d_system, probs, q[None])[0]
+    return Propagator(matrix=matrix, collision_index=collision_index)
+
+
+def _propagator_stack(
+    index: _ShellIndex, d_system: int, probs: np.ndarray, q: np.ndarray
+) -> np.ndarray:
+    """``M`` of each row of stacked flat jump probabilities, with ancilla populations ``q[row]``.
+
+    One ``np.add.at`` adds the weighted entries in flat order, shell by
+    shell.  Within a shell the members have distinct system levels, so each
+    ``(out, in)`` pair of levels gets at most one entry per shell and every
+    sum is formed in shell order.
+    """
+    cells = d_system * d_system
+    target = index.system[index.out] * d_system + index.system[index.into]
+    weighted = probs * q[:, index.ancilla[index.into]]
+    m = np.zeros(len(probs) * cells)
+    np.add.at(m, (np.arange(len(probs))[:, None] * cells + target).ravel(), weighted.ravel())
+    return m.reshape(len(probs), d_system, d_system)
 
 
 @dataclass(frozen=True)
@@ -218,26 +252,58 @@ class RealizedModel:
         Id order is value order, and the registry is closed under negation,
         so the id of ``-Q`` is ``len(heat_values) - 1`` minus the id of ``Q``.
         """
-        spectra = [self.config.system, *(stage.spectrum for stage in self.stages)]
+        spectra = dict.fromkeys([self.config.system, *self._ancilla_spectra.values()])
         return tuple(sorted({a - b for spec in spectra for a in spec.levels for b in spec.levels}))
 
-    def _difference_ids(self, levels: Sequence[Fraction]) -> np.ndarray:
-        """``[a, b]`` is the heat id of ``levels[a] - levels[b]``."""
+    @cached_property
+    def _ancilla_spectra(self) -> dict[int, Spectrum]:
+        """The ancilla spectrum of each shells tuple, keyed by the tuple's id.
+
+        :func:`realize_model` gives the collisions of one ancilla spectrum one
+        shells tuple, so each distinct spectrum appears here once.
+        """
+        return {id(stage.shells): stage.spectrum for stage in self.stages}
+
+    @cached_property
+    def _heat_ids(self) -> dict[Spectrum, np.ndarray]:
+        """Per distinct spectrum, ``[a, b]`` is the heat id of ``E_a - E_b``; read-only."""
         lookup = {q: i for i, q in enumerate(self.heat_values)}
-        return np.array(
-            [[lookup[a - b] for b in levels] for a in levels],
-            dtype=np.min_scalar_type(len(lookup) - 1),
-        )
+        tables = {}
+        for spectrum in [self.config.system, *self._ancilla_spectra.values()]:
+            if spectrum not in tables:
+                levels = spectrum.levels
+                ids = np.array(
+                    [[lookup[a - b] for b in levels] for a in levels],
+                    dtype=np.min_scalar_type(len(lookup) - 1),
+                )
+                ids.flags.writeable = False
+                tables[spectrum] = ids
+        return tables
 
     @cached_property
     def system_heat_ids(self) -> np.ndarray:
         """``[a, b]`` is the heat id of the system drop ``a -> b``, ``E_a - E_b``."""
-        return self._difference_ids(self.config.system.levels)
+        return self._heat_ids[self.config.system]
 
     @cached_property
     def ancilla_heat_ids(self) -> tuple[np.ndarray, ...]:
-        """Per collision, ``[n, n']`` is the heat id of the ancilla move ``n -> n'``, ``E_n' - E_n``."""
-        return tuple(self._difference_ids(stage.spectrum.levels).T for stage in self.stages)
+        """Per collision, ``[n, n']`` is the heat id of the ancilla move ``n -> n'``, ``E_n' - E_n``.
+
+        Collisions on one shells tuple share one read-only table.
+        """
+        tables = {key: self._heat_ids[spectrum].T for key, spectrum in self._ancilla_spectra.items()}
+        return tuple(tables[id(stage.shells)] for stage in self.stages)
+
+
+class _Group:
+    """The collisions of one ancilla spectrum: shared shells, and a flat block row each."""
+
+    def __init__(self, shells: tuple[EnergyShell, ...]) -> None:
+        self.shells = shells
+        self.index = _shell_index(shells)
+        self.identity = (self.index.out == self.index.into).astype(complex)
+        self.positions: list[int] = []  # 0-based, ascending
+        self.rows: list[np.ndarray] = []
 
 
 @lru_cache(maxsize=128)
@@ -245,26 +311,59 @@ def realize_model(config: ModelConfig) -> RealizedModel:
     """Build shells, unitaries, tensors and propagators for every collision.
 
     Results are cached on the (immutable) config, so repeated queries about
-    the same model reuse one realization.
+    the same model reuse one realization.  Errors are raised in collision
+    order, as realizing the collisions one by one would raise them: exit
+    sums of explicit blocks are checked as each collision is met.
     """
     system_state = gibbs_state(config.system, config.system_beta)
-    stages = []
-    for position, anc in enumerate(config.ancillas, start=1):
-        shells = build_energy_shells(config.system, anc.spectrum)
-        unitary = realize_unitary(shells, anc.unitary, config.master_seed)
-        tensor = transition_tensor(unitary)
-        ancilla_state = gibbs_state(anc.spectrum, anc.beta)
-        propagator = propagator_from_tensor(tensor, ancilla_state, position)
-        stages.append(
-            CollisionStage(
-                index=position,
+    groups: dict[Spectrum, _Group] = {}
+    draws: dict[int, list] = {}  # Haar shell size -> (row, flat offset, stream) per shell
+    states = []
+    for position, anc in enumerate(config.ancillas):
+        group = groups.get(anc.spectrum)
+        if group is None:
+            group = groups[anc.spectrum] = _Group(build_energy_shells(config.system, anc.spectrum))
+        states.append(gibbs_state(anc.spectrum, anc.beta))
+        spec = anc.unitary
+        if spec.kind == "haar":
+            row = group.identity.copy()  # [[1]] on one-member shells
+            for k, (first, size) in enumerate(group.index.spans):
+                if size > 1:
+                    stream = substream(config.master_seed, _stream_tag(spec), k)
+                    draws.setdefault(size, []).append((row, first, stream))
+        else:
+            row = np.concatenate([block.ravel() for block in _fixed_blocks(group.shells, spec)])
+            if spec.kind == "explicit":  # the one kind whose exit sums can miss 1
+                failing = _jump_probabilities(group.shells, row[None])[1][0]
+                if failing >= 0:
+                    raise _not_unitary(group.shells[failing])
+        group.positions.append(position)
+        group.rows.append(row)
+    for size, batch in draws.items():
+        for (row, start, _), block in zip(batch, _haar_stack(size, [rng for *_, rng in batch])):
+            row[start : start + size * size] = block.ravel()
+
+    stages = [None] * config.n_collisions
+    for group in groups.values():
+        rows = np.array(group.rows)
+        rows.flags.writeable = False
+        probs, failing = _jump_probabilities(group.shells, rows)
+        if (failing >= 0).any():  # a defect: only explicit blocks can miss, and they are checked above
+            raise _not_unitary(group.shells[failing[failing >= 0][0]])
+        tensors = _tensors(group.shells, probs)
+        q = np.array([states[i].populations for i in group.positions])
+        matrices = _propagator_stack(group.index, tensors[0].d_system, probs, q)
+        for i, row, tensor, matrix in zip(group.positions, rows, tensors, matrices):
+            anc = config.ancillas[i]
+            blocks = _row_blocks(row, group.index)
+            stages[i] = CollisionStage(
+                index=i + 1,
                 spectrum=anc.spectrum,
                 beta=anc.beta,
-                shells=shells,
-                unitary=unitary,
+                shells=group.shells,
+                unitary=CollisionUnitary(shells=group.shells, blocks=blocks),
                 tensor=tensor,
-                ancilla_state=ancilla_state,
-                propagator=propagator,
+                ancilla_state=states[i],
+                propagator=Propagator(matrix=matrix, collision_index=i + 1),
             )
-        )
     return RealizedModel(config=config, system_state=system_state, stages=tuple(stages))

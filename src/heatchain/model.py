@@ -93,6 +93,11 @@ class Spectrum:
                     f"degenerate spectrum: level {format_rational(lo)} appears twice"
                 )
         object.__setattr__(self, "levels", ordered)
+        # Spectra key the realization caches, and a Fraction hashes slowly.
+        object.__setattr__(self, "_hash", hash((ordered,)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def from_values(cls, values: Iterable[object]) -> "Spectrum":

@@ -40,7 +40,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, islice
+from itertools import islice
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -73,6 +73,7 @@ from .model import (
     shannon_entropy,
 )
 from .streams import substream
+from .unitaries import _shell_index
 
 __all__ = [
     "SamplerConfig",
@@ -215,7 +216,7 @@ class _SamplerTables:
         realized = realize_model(model)
         n = self.n = model.n_collisions
         dim = model.system.dim
-        beta_diff = [anc.beta - model.system_beta for anc in model.ancillas]
+        beta_diff = np.array([anc.beta - model.system_beta for anc in model.ancillas])
 
         p0 = realized.system_state.populations
         self.p0_cum = np.cumsum(p0)
@@ -227,47 +228,75 @@ class _SamplerTables:
         self.heat_fraction: tuple[Fraction, ...] = realized.heat_values
         self.code_dtype = realized.system_heat_ids.dtype
         self.anc_heat_id = np.zeros((n, width, width), dtype=self.code_dtype)
-        rows: list[tuple[int, int, int, tuple[tuple[int, int, float], ...]]] = []
-        row_of = np.zeros((dim, n, width), dtype=np.intp)
+        groups: dict[int, list[int]] = {}  # the collisions on each shells tuple
         for i, stage in enumerate(realized.stages):
             q = stage.ancilla_state.populations
             self.anc_columns[: len(q) - 1, i] = np.cumsum(q)[:-1]
             self.log_q[i, : len(q)] = _logs(q)
             self.anc_heat_id[i, : len(q), : len(q)] = realized.ancilla_heat_ids[i]
-            for (alpha, n_in), outcomes in stage.outcomes.items():
-                row_of[alpha, i, n_in] = len(rows)
-                rows.append((i, alpha, n_in, outcomes))
+            groups.setdefault(id(stage.shells), []).append(i)
 
-        span = max(len(outcomes) for *_, outcomes in rows)
+        # One row per joint input of each collision, in collision order and
+        # then in the order of CollisionStage.outcomes; a row's slots hold its
+        # nonzero jumps in output order, read off each group's stacked tensors.
+        first_row = np.cumsum([0] + [dim * stage.spectrum.dim for stage in realized.stages])
+        widest = max(
+            shell.size
+            for collisions in groups.values()
+            for shell in realized.stages[collisions[0]].shells
+        )
+        weight = np.zeros((first_row[-1], widest))
+        level, heat, pair = (np.zeros((first_row[-1], widest), dtype=np.intp) for _ in range(3))
+        sigma_term, log_p_term = np.zeros_like(weight), np.zeros_like(weight)
+        count = np.zeros(first_row[-1], dtype=np.intp)
+        row_of = np.zeros((dim, n, width), dtype=np.intp)
+        heat_value = np.array([float(value) for value in self.heat_fraction])
+        for collisions in groups.values():
+            stages = [realized.stages[i] for i in collisions]
+            index = _shell_index(stages[0].shells)
+            members, entries = len(index.system), len(index.out)
+            # Each input member's entries by output, padded with a zero weight.
+            candidates = np.full((members, widest), entries)
+            for r in range(members):
+                own = np.flatnonzero(index.into == r)
+                candidates[r, : len(own)] = own
+            probs = np.zeros((len(stages), entries + 1))
+            probs[:, :-1] = np.concatenate(
+                [mat.ravel() for stage in stages for mat in stage.tensor.probs]
+            ).reshape(len(stages), entries)
+            k, r, c = np.nonzero(probs[:, candidates])
+            entry = candidates[r, c]
+            w = probs[k, entry]
+            per_row = np.bincount(k * members + r, minlength=len(stages) * members)
+            slot = np.arange(len(k)) - (np.cumsum(per_row) - per_row)[k * members + r]
+            at = np.array(collisions)
+            rows = first_row[at][:, None] + np.arange(members)
+            count[rows] = per_row.reshape(len(stages), members)
+            row_of[index.system, at[:, None], index.ancilla] = rows
+            at, row, out = at[k], rows[k, r], index.out[entry]
+            weight[row, slot] = w
+            level[row, slot] = index.system[out]
+            heat[row, slot] = realized.system_heat_ids[index.system[r], index.system[out]]
+            pair[row, slot] = index.ancilla[r] * width + index.ancilla[out]
+            sigma_term[row, slot] = beta_diff[at] * heat_value[heat[row, slot]]
+            log_p_term[row, slot] = self.log_q[at, index.ancilla[r]] + _logs(w.tolist())
+
+        span = int(count.max())
         self.steps = span - 1
         self.row_start = row_of.reshape(-1) * span
-        heat_value = [float(value) for value in self.heat_fraction]
-        sys_heat_id = realized.system_heat_ids.tolist()
-        log_q = self.log_q.tolist()
-        slots = []
-        for i, alpha, n_in, outcomes in rows:
-            cdf = list(accumulate(w for _, _, w in outcomes))
-            cdf[-1] = math.inf
-            for entry, (alpha_out, n_out, w) in zip(cdf, outcomes):
-                hid = sys_heat_id[alpha][alpha_out]
-                slots.append((
-                    entry, alpha_out, hid, n_in * width + n_out,
-                    beta_diff[i] * heat_value[hid], log_q[i][n_in] + math.log(w),
-                ))
-            slots += [(math.inf, 0, 0, 0, 0.0, 0.0)] * (span - len(outcomes))
-        cdf, level, heat, pair, sigma_term, log_p_term = zip(*slots)
-        self.cdf = np.array(cdf)
+        cdf = np.cumsum(weight[:, :span], axis=1)
+        cdf[np.arange(span) >= count[:, None] - 1] = np.inf
+        self.cdf = cdf.reshape(-1)
+        level = level[:, :span].reshape(-1)
         self.level_dtype = np.min_scalar_type(dim - 1)
-        self.level = np.array(level, dtype=self.level_dtype)
+        self.level = level.astype(self.level_dtype)
         stride = n * width
-        self.scaled_level = np.array(
-            [a * stride for a in level], dtype=np.min_scalar_type((dim - 1) * stride)
-        )
-        self.heat = np.array(heat, dtype=self.code_dtype)
+        self.scaled_level = (level * stride).astype(np.min_scalar_type((dim - 1) * stride))
+        self.heat = heat[:, :span].reshape(-1).astype(self.code_dtype)
         self.pair_dtype = np.min_scalar_type(width * width - 1)
-        self.pair = np.array(pair, dtype=self.pair_dtype)
-        self.sigma_term = np.array(sigma_term)
-        self.log_p_term = np.array(log_p_term)
+        self.pair = pair[:, :span].reshape(-1).astype(self.pair_dtype)
+        self.sigma_term = sigma_term[:, :span].reshape(-1)
+        self.log_p_term = log_p_term[:, :span].reshape(-1)
         self.cell_offset = np.arange(n) * width
         self.move_offset = self.cell_offset * width
 

@@ -7,6 +7,13 @@ n)`` whose total energy ``E_alpha + E_n`` is exactly equal.  Shell
 membership is computed with exact rational sums, so no floating comparison
 ever decides the block structure, and the full joint matrix is never
 materialized; everything downstream works shell by shell.
+
+Shells depend on the two spectra alone, so they are built once per
+spectrum pair (:func:`build_energy_shells` is cached) and shared, with
+their flat index arrays (:func:`_shell_index`), by every collision on that
+pair.  A collision's blocks can then be held as one flat row, shell by
+shell, and many collisions' rows as one stacked array, which is how
+``chain.realize_model`` squares, checks and averages them in one pass.
 """
 
 from __future__ import annotations
@@ -14,7 +21,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -53,12 +62,14 @@ class EnergyShell:
         return len(self.members)
 
 
+@lru_cache(maxsize=128)
 def build_energy_shells(system: Spectrum, ancilla: Spectrum) -> tuple[EnergyShell, ...]:
     """Partition the joint basis by exact total energy.
 
     Shells are ordered by ascending total energy and members are ordered
     lexicographically in (system level, ancilla level), so the layout is
-    deterministic.
+    deterministic.  The result is immutable and cached on the spectra, so
+    collisions and sub-models with one spectrum pair share one tuple.
     """
     groups: dict[Fraction, list[JointIndex]] = {}
     for a, e_a in enumerate(system.levels):
@@ -68,6 +79,59 @@ def build_energy_shells(system: Spectrum, ancilla: Spectrum) -> tuple[EnergyShel
         EnergyShell(total_energy=total, members=tuple(sorted(groups[total])))
         for total in sorted(groups)
     )
+
+
+class _ShellIndex(NamedTuple):
+    """Read-only flat index arrays of one shells tuple.
+
+    Members are numbered shell by shell in member order.  A collision's
+    blocks flatten shell by shell, each row-major, into one row: with
+    ``first, size = spans[k]``, the block of shell ``k`` is the ``size x
+    size`` matrix at ``row[first:]``, and entry ``e`` of the row leads from
+    input member ``into[e]`` to output member ``out[e]``.
+    """
+
+    system: np.ndarray  # per member, its system level
+    ancilla: np.ndarray  # per member, its ancilla level
+    shell: np.ndarray  # per member, its shell
+    out: np.ndarray
+    into: np.ndarray
+    spans: tuple[tuple[int, int], ...]
+    position: Mapping[JointIndex, tuple[int, int]]  # member -> (shell, place in it)
+
+
+@lru_cache(maxsize=128)
+def _shell_index(shells: tuple[EnergyShell, ...]) -> _ShellIndex:
+    """The :class:`_ShellIndex` of ``shells``, cached so collisions on them share it."""
+    out: list[int] = []
+    into: list[int] = []
+    spans = []
+    first = 0
+    for shell in shells:
+        spans.append((len(out), shell.size))
+        numbers = range(first, first + shell.size)
+        out += [i for i in numbers for _ in numbers]
+        into += [j for _ in numbers for j in numbers]
+        first += shell.size
+    members = [member for shell in shells for member in shell.members]
+    arrays = [
+        np.array([a for a, _ in members], dtype=np.intp),
+        np.array([n for _, n in members], dtype=np.intp),
+        np.repeat(np.arange(len(shells)), [shell.size for shell in shells]),
+        np.array(out, dtype=np.intp),
+        np.array(into, dtype=np.intp),
+    ]
+    for array in arrays:
+        array.flags.writeable = False
+    position = {
+        member: (k, j) for k, shell in enumerate(shells) for j, member in enumerate(shell.members)
+    }
+    return _ShellIndex(*arrays, spans=tuple(spans), position=MappingProxyType(position))
+
+
+def _row_blocks(row: np.ndarray, index: _ShellIndex) -> tuple[np.ndarray, ...]:
+    """Views of a flat row as the per-shell square blocks it holds."""
+    return tuple(row[first : first + size * size].reshape(size, size) for first, size in index.spans)
 
 
 @dataclass(frozen=True)
@@ -177,11 +241,25 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     The R-diagonal phases are divided out, which is what makes the QR
     output Haar rather than merely unitary.
     """
-    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    return _haar_stack(dim, [rng])[0]
+
+
+def _haar_stack(dim: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """One :func:`haar_unitary` per generator, stacked, with one QR for the stack.
+
+    Each generator draws the real and then the imaginary part of its
+    Ginibre matrix in one call, which yields the numbers of two calls, and
+    the stacked QR and phase fix act matrix by matrix, so an entry of the
+    stack does not depend on the stack's other entries.
+    """
+    g = np.empty((len(rngs), 2, dim, dim))
+    for rng, parts in zip(rngs, g):
+        rng.standard_normal(out=parts)
+    z = g[:, 0] + 1j * g[:, 1]
     z /= math.sqrt(2.0)
     q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    d = np.diagonal(r, axis1=1, axis2=2)
+    return q * (d / np.abs(d))[:, None, :]
 
 
 def _permutation_block(shell: EnergyShell, spec: UnitarySpec) -> np.ndarray:
@@ -245,47 +323,52 @@ def realize_unitary(
     trivial block [[1]]; any phase there is unobservable in the transition
     probabilities.
     """
-    if spec.kind == "identity":
-        blocks = [np.eye(shell.size, dtype=complex) for shell in shells]
-    elif spec.kind == "haar":
-        tag = spec.stream_tag if spec.stream_tag is not None else 0
-        blocks = []
-        for k, shell in enumerate(shells):
-            if shell.size == 1:
-                blocks.append(np.eye(1, dtype=complex))
-            else:
-                blocks.append(haar_unitary(shell.size, substream(master_seed, tag, k)))
-    elif spec.kind == "partial_swap":
-        blocks = _partial_swap_blocks(shells, spec.theta)
-    elif spec.kind == "permutation":
-        blocks = [_permutation_block(shell, spec) for shell in shells]
-    elif spec.kind == "explicit":
-        supplied = dict(spec.blocks)
-        known = {shell.total_energy for shell in shells}
-        for total in supplied:
-            if total not in known:
-                raise ModelError(
-                    f"explicit block given for total energy {format_rational(total)}, "
-                    "which is not a shell of this collision"
-                )
-        blocks = []
-        for shell in shells:
-            mat = supplied.get(shell.total_energy)
-            if mat is None:
-                blocks.append(np.eye(shell.size, dtype=complex))
-            else:
-                blocks.append(np.array(mat, dtype=complex))
-    else:  # pragma: no cover - kinds are validated at spec construction
-        raise ModelError(f"unknown unitary kind {spec.kind!r}")
+    if spec.kind != "haar":
+        return CollisionUnitary(shells=shells, blocks=tuple(_fixed_blocks(shells, spec)))
+    blocks = [
+        np.eye(1, dtype=complex)
+        if shell.size == 1
+        else haar_unitary(shell.size, substream(master_seed, _stream_tag(spec), k))
+        for k, shell in enumerate(shells)
+    ]
+    return CollisionUnitary(shells=shells, blocks=tuple(blocks))
 
-    unitary = CollisionUnitary(shells=shells, blocks=tuple(blocks))
-    if spec.kind == "explicit":
-        report = validate_energy_preservation(unitary, tolerance=1e-10)
-        if not report.passed:
+
+def _stream_tag(spec: UnitarySpec) -> int:
+    return spec.stream_tag if spec.stream_tag is not None else 0
+
+
+def _fixed_blocks(shells: tuple[EnergyShell, ...], spec: UnitarySpec) -> list[np.ndarray]:
+    """The blocks of every kind but ``haar``, which draws random numbers."""
+    if spec.kind == "identity":
+        return [np.eye(shell.size, dtype=complex) for shell in shells]
+    if spec.kind == "partial_swap":
+        return _partial_swap_blocks(shells, spec.theta)
+    if spec.kind == "permutation":
+        return [_permutation_block(shell, spec) for shell in shells]
+    if spec.kind != "explicit":  # pragma: no cover - kinds are validated at spec construction
+        raise ModelError(f"unknown unitary kind {spec.kind!r}")
+    supplied = dict(spec.blocks)
+    known = {shell.total_energy for shell in shells}
+    for total in supplied:
+        if total not in known:
             raise ModelError(
-                f"explicit block fails unitarity: residual {report.max_residual:.3e}"
+                f"explicit block given for total energy {format_rational(total)}, "
+                "which is not a shell of this collision"
             )
-    return unitary
+    blocks = []
+    for shell in shells:
+        mat = supplied.get(shell.total_energy)
+        if mat is None:
+            blocks.append(np.eye(shell.size, dtype=complex))
+        else:
+            blocks.append(np.array(mat, dtype=complex))
+    report = validate_energy_preservation(
+        CollisionUnitary(shells=shells, blocks=tuple(blocks)), tolerance=1e-10
+    )
+    if not report.passed:
+        raise ModelError(f"explicit block fails unitarity: residual {report.max_residual:.3e}")
+    return blocks
 
 
 def validate_energy_preservation(
@@ -326,11 +409,8 @@ class TransitionTensor:
     position: Mapping[JointIndex, tuple[int, int]] = field(repr=False, default=None)
 
     def __post_init__(self) -> None:
-        lookup = {}
-        for k, shell in enumerate(self.shells):
-            for j, member in enumerate(shell.members):
-                lookup[member] = (k, j)
-        object.__setattr__(self, "position", lookup)
+        if self.position is None:
+            object.__setattr__(self, "position", _shell_index(self.shells).position)
         for mat in self.probs:
             mat.flags.writeable = False
 
@@ -349,23 +429,50 @@ def transition_tensor(unitary: CollisionUnitary) -> TransitionTensor:
     Unitarity makes every block doubly stochastic: each input's exit
     probabilities and each output's entry probabilities sum to one.
     """
-    probs = [np.abs(block) ** 2 for block in unitary.blocks]
-    col_sums = np.concatenate([mat.sum(axis=0) for mat in probs])
-    # The test np.allclose(col_sums, 1.0, atol=1e-10) makes, written out: its
-    # default rtol=1e-5 adds 1e-5 to the slack, and NaN is never close.
-    failed = np.flatnonzero(~(np.abs(col_sums - 1.0) <= 1e-10 + 1e-5))
-    if failed.size:
-        ends = np.cumsum([mat.shape[1] for mat in probs])
-        shell = unitary.shells[np.searchsorted(ends, failed[0], side="right")]
-        raise ModelError(
-            f"block at total energy {format_rational(shell.total_energy)} is not "
-            "unitary: exit probabilities do not sum to 1"
-        )
-    d_system = 1 + max(a for shell in unitary.shells for a, _ in shell.members)
-    d_ancilla = 1 + max(n for shell in unitary.shells for _, n in shell.members)
-    return TransitionTensor(
-        shells=unitary.shells,
-        probs=tuple(probs),
-        d_system=d_system,
-        d_ancilla=d_ancilla,
+    rows = np.concatenate([block.ravel() for block in unitary.blocks])[None]
+    probs, failing = _jump_probabilities(unitary.shells, rows)
+    if failing[0] >= 0:
+        raise _not_unitary(unitary.shells[failing[0]])
+    return _tensors(unitary.shells, probs)[0]
+
+
+def _jump_probabilities(
+    shells: tuple[EnergyShell, ...], rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Squared moduli of stacked flat block rows, and each row's first failing shell.
+
+    A shell fails when an input's exit probabilities miss 1 by more than
+    1e-10 (NaN always misses); a row with no failing shell gets -1.  One
+    ``np.add.at`` sums the exit probabilities of every input of every row.
+    """
+    index = _shell_index(shells)
+    probs = np.abs(rows) ** 2
+    members = len(index.system)
+    sums = np.zeros(len(rows) * members)
+    np.add.at(sums, (np.arange(len(rows))[:, None] * members + index.into).ravel(), probs.ravel())
+    bad = ~(np.abs(sums - 1.0) <= 1e-10).reshape(len(rows), members)
+    return probs, np.where(bad.any(axis=1), index.shell[bad.argmax(axis=1)], -1)
+
+
+def _not_unitary(shell: EnergyShell) -> ModelError:
+    return ModelError(
+        f"block at total energy {format_rational(shell.total_energy)} is not "
+        "unitary: exit probabilities do not sum to 1"
     )
+
+
+def _tensors(shells: tuple[EnergyShell, ...], probs: np.ndarray) -> list[TransitionTensor]:
+    """One tensor per row of stacked flat jump probabilities, holding read-only views of it."""
+    index = _shell_index(shells)
+    probs.flags.writeable = False
+    d_system, d_ancilla = 1 + int(index.system.max()), 1 + int(index.ancilla.max())
+    return [
+        TransitionTensor(
+            shells=shells,
+            probs=_row_blocks(row, index),
+            d_system=d_system,
+            d_ancilla=d_ancilla,
+            position=index.position,
+        )
+        for row in probs
+    ]

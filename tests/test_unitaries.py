@@ -253,10 +253,9 @@ class TestTransitionTensor:
 
 
 class TestColumnSumCheck:
-    """The exit-probability check keeps ``np.allclose``'s default ``rtol=1e-5``.
+    """The exit-probability check holds column sums to within 1e-10 of 1.
 
-    So it accepts column sums within ``1e-10 + 1e-5`` of 1, looser than its
-    ``atol=1e-10`` suggests, and names the first shell that fails.
+    It names the first shell that fails.
     """
 
     @staticmethod
@@ -274,6 +273,6 @@ class TestColumnSumCheck:
         with pytest.raises(ModelError, match=f"block at total energy {energy} is not unitary"):
             transition_tensor(self.scaled(1e-3, failing))
 
-    def test_sums_off_by_1e_7_pass(self):
-        tensor = transition_tensor(self.scaled(1e-7, (0, 1, 2)))
-        assert tensor.probs[1].sum(axis=0) == pytest.approx([1 + 1e-7] * 2, abs=1e-15)
+    def test_sums_off_by_1e_7_raise(self):
+        with pytest.raises(ModelError, match="block at total energy 0/1 is not unitary"):
+            transition_tensor(self.scaled(1e-7, (0, 1, 2)))
