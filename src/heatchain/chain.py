@@ -8,19 +8,21 @@ starting from the system's thermal state, backward paths by the same
 matrices with reversed argument order and reversed application order,
 starting again from the thermal state.
 
-Realization.  What depends on the spectra alone is built once per
-distinct ancilla spectrum within one :func:`realize_model` call and shared,
-read-only, by every collision on it: the shells tuple (cached by
-``build_energy_shells``, so sub-models reuse it too), its flat index
-arrays, and the heat-id tables of ``RealizedModel``, whose registry is
-built from the distinct spectra.  What differs per collision is stacked:
-each collision's blocks are one flat row, shell by shell; the Haar shells
-of all collisions are drawn each from its own stream and put through one
-QR and one phase fix per shell size; and the squared moduli, the exit-sum
-check and the propagators (one ordered ``np.add.at``) are computed for
-all collisions on one spectrum at once.  Stages hold read-only views of
-those rows.  Every number is the one a collision-by-collision realization
-gives, bit for bit, whatever the other collisions of a stack are.
+Realization.  :func:`realize_model` groups the collisions by ancilla
+spectrum once, and ``RealizedModel.groups`` keeps one read-only
+:class:`SpectrumGroup` per distinct spectrum, in order of first use, which
+the heat-id and sampler tables read.  What depends on the spectra alone is
+built once per group and shared, read-only, by its collisions: the shells
+tuple (cached by ``build_energy_shells``, so sub-models reuse it too), its
+flat index arrays and its heat-id table.  What differs per collision is
+stacked: each collision's blocks are one flat row, shell by shell; the
+Haar shells of all collisions are drawn each from its own stream and put
+through one QR and one phase fix per shell size; and the squared moduli,
+the exit-sum check and the propagators (one ordered ``np.add.at``) are
+computed for a whole group at once.  Stages hold read-only views of the
+group's stacked rows.  Every number is the one a collision-by-collision
+realization gives, bit for bit, whatever the other collisions of a stack
+are.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -233,13 +235,23 @@ class CollisionStage:
         return table
 
 
+class SpectrumGroup(NamedTuple):
+    """The collisions on one ancilla spectrum, as :func:`realize_model` stacks them."""
+
+    spectrum: Spectrum
+    shells: tuple[EnergyShell, ...]
+    collisions: tuple[int, ...]  # 0-based, ascending
+    probs: np.ndarray  # read-only; row k is collision collisions[k]'s flat jump probabilities
+
+
 @dataclass(frozen=True, eq=False)
 class RealizedModel:
-    """A config with all derived per-collision objects attached."""
+    """A config with all derived per-collision objects attached, grouped by ancilla spectrum."""
 
     config: ModelConfig
     system_state: ThermalState
     stages: tuple[CollisionStage, ...]
+    groups: tuple[SpectrumGroup, ...]
 
     @property
     def propagators(self) -> tuple[Propagator, ...]:
@@ -252,24 +264,15 @@ class RealizedModel:
         Id order is value order, and the registry is closed under negation,
         so the id of ``-Q`` is ``len(heat_values) - 1`` minus the id of ``Q``.
         """
-        spectra = dict.fromkeys([self.config.system, *self._ancilla_spectra.values()])
+        spectra = [self.config.system, *(group.spectrum for group in self.groups)]
         return tuple(sorted({a - b for spec in spectra for a in spec.levels for b in spec.levels}))
-
-    @cached_property
-    def _ancilla_spectra(self) -> dict[int, Spectrum]:
-        """The ancilla spectrum of each shells tuple, keyed by the tuple's id.
-
-        :func:`realize_model` gives the collisions of one ancilla spectrum one
-        shells tuple, so each distinct spectrum appears here once.
-        """
-        return {id(stage.shells): stage.spectrum for stage in self.stages}
 
     @cached_property
     def _heat_ids(self) -> dict[Spectrum, np.ndarray]:
         """Per distinct spectrum, ``[a, b]`` is the heat id of ``E_a - E_b``; read-only."""
         lookup = {q: i for i, q in enumerate(self.heat_values)}
         tables = {}
-        for spectrum in [self.config.system, *self._ancilla_spectra.values()]:
+        for spectrum in [self.config.system, *(group.spectrum for group in self.groups)]:
             if spectrum not in tables:
                 levels = spectrum.levels
                 ids = np.array(
@@ -289,14 +292,18 @@ class RealizedModel:
     def ancilla_heat_ids(self) -> tuple[np.ndarray, ...]:
         """Per collision, ``[n, n']`` is the heat id of the ancilla move ``n -> n'``, ``E_n' - E_n``.
 
-        Collisions on one shells tuple share one read-only table.
+        The collisions of one group share one read-only table.
         """
-        tables = {key: self._heat_ids[spectrum].T for key, spectrum in self._ancilla_spectra.items()}
-        return tuple(tables[id(stage.shells)] for stage in self.stages)
+        tables = [None] * len(self.stages)
+        for group in self.groups:
+            ids = self._heat_ids[group.spectrum].T
+            for i in group.collisions:
+                tables[i] = ids
+        return tuple(tables)
 
 
 class _Group:
-    """The collisions of one ancilla spectrum: shared shells, and a flat block row each."""
+    """A :class:`SpectrumGroup` being built: shared shells, and a flat block row per collision."""
 
     def __init__(self, shells: tuple[EnergyShell, ...]) -> None:
         self.shells = shells
@@ -344,7 +351,8 @@ def realize_model(config: ModelConfig) -> RealizedModel:
             row[start : start + size * size] = block.ravel()
 
     stages = [None] * config.n_collisions
-    for group in groups.values():
+    records = []
+    for spectrum, group in groups.items():
         rows = np.array(group.rows)
         rows.flags.writeable = False
         probs, failing = _jump_probabilities(group.shells, rows)
@@ -366,4 +374,5 @@ def realize_model(config: ModelConfig) -> RealizedModel:
                 ancilla_state=states[i],
                 propagator=Propagator(matrix=matrix, collision_index=i + 1),
             )
-    return RealizedModel(config=config, system_state=system_state, stages=tuple(stages))
+        records.append(SpectrumGroup(spectrum, group.shells, tuple(group.positions), probs))
+    return RealizedModel(config, system_state, tuple(stages), tuple(records))

@@ -548,10 +548,7 @@ def dispatch(argv: Sequence[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         code = args.handler(args)
-    except (ModelError, EnumerationCapError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ModelError, EnumerationCapError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(f"elapsed: {time.perf_counter() - started:.3f}s")
@@ -560,3 +557,7 @@ def dispatch(argv: Sequence[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(dispatch())
+
+
+if __name__ == "__main__":
+    main()

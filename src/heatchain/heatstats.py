@@ -623,10 +623,10 @@ class FTReport:
     passed: bool
 
 
-def _logs(masses: np.ndarray) -> np.ndarray:
-    # math.log, not np.log: the residuals must not depend on numpy's
-    # vectorized logarithm, whose last bit may differ.
-    return np.fromiter(map(math.log, masses.tolist()), dtype=float, count=len(masses))
+def _logs(values: np.ndarray) -> np.ndarray:
+    # math.log, not np.log, whose last bit may differ; non-positive values give -inf.
+    logs = np.fromiter(map(math.log, np.where(values > 0, values, 1.0).tolist()), float, len(values))
+    return np.where(values > 0, logs, -math.inf)
 
 
 def _exponents(values: Sequence[Fraction], ids: np.ndarray, deltas: Sequence[float]) -> np.ndarray:

@@ -60,6 +60,7 @@ from .heatstats import (
     _exponents,
     _list_cells,
     _list_tables,
+    _logs,
     _path_blocks,
     _text_block,
     exact_forward_joint,
@@ -180,12 +181,6 @@ class SampleSummary:
     shots: int
 
 
-def _logs(values) -> list[float]:
-    # math.log, not np.log: the sampler's sums must not depend on numpy's
-    # vectorized logarithm, whose last bit may differ.
-    return [math.log(v) if v > 0 else -math.inf for v in values]
-
-
 class _SamplerTables:
     """Flat lookup arrays that let a block of shots walk the chain's jumps.
 
@@ -209,7 +204,8 @@ class _SamplerTables:
     code, its heat-form term of sigma and its term of the log path
     probability.  The ancilla side of each consistency check, heat ids and
     the log form of sigma, is read from ``anc_heat_id`` and ``log_q`` at
-    sampling time instead.
+    sampling time instead.  Slots are filled a spectrum group at a time, from
+    the stacked jump probabilities that ``RealizedModel.groups`` keeps.
     """
 
     def __init__(self, model: ModelConfig) -> None:
@@ -220,7 +216,7 @@ class _SamplerTables:
 
         p0 = realized.system_state.populations
         self.p0_cum = np.cumsum(p0)
-        self.log_p0 = np.array(_logs(p0))
+        self.log_p0 = _logs(p0)
 
         width = self.width = max(stage.spectrum.dim for stage in realized.stages)
         self.anc_columns = np.full((width - 1, n), np.inf)
@@ -228,50 +224,40 @@ class _SamplerTables:
         self.heat_fraction: tuple[Fraction, ...] = realized.heat_values
         self.code_dtype = realized.system_heat_ids.dtype
         self.anc_heat_id = np.zeros((n, width, width), dtype=self.code_dtype)
-        groups: dict[int, list[int]] = {}  # the collisions on each shells tuple
         for i, stage in enumerate(realized.stages):
             q = stage.ancilla_state.populations
             self.anc_columns[: len(q) - 1, i] = np.cumsum(q)[:-1]
             self.log_q[i, : len(q)] = _logs(q)
             self.anc_heat_id[i, : len(q), : len(q)] = realized.ancilla_heat_ids[i]
-            groups.setdefault(id(stage.shells), []).append(i)
 
         # One row per joint input of each collision, in collision order and
         # then in the order of CollisionStage.outcomes; a row's slots hold its
-        # nonzero jumps in output order, read off each group's stacked tensors.
+        # nonzero jumps in output order, read off each group's stacked probs.
         first_row = np.cumsum([0] + [dim * stage.spectrum.dim for stage in realized.stages])
-        widest = max(
-            shell.size
-            for collisions in groups.values()
-            for shell in realized.stages[collisions[0]].shells
-        )
+        widest = max(shell.size for group in realized.groups for shell in group.shells)
         weight = np.zeros((first_row[-1], widest))
         level, heat, pair = (np.zeros((first_row[-1], widest), dtype=np.intp) for _ in range(3))
         sigma_term, log_p_term = np.zeros_like(weight), np.zeros_like(weight)
         count = np.zeros(first_row[-1], dtype=np.intp)
         row_of = np.zeros((dim, n, width), dtype=np.intp)
         heat_value = np.array([float(value) for value in self.heat_fraction])
-        for collisions in groups.values():
-            stages = [realized.stages[i] for i in collisions]
-            index = _shell_index(stages[0].shells)
+        for group in realized.groups:
+            index = _shell_index(group.shells)
             members, entries = len(index.system), len(index.out)
             # Each input member's entries by output, padded with a zero weight.
             candidates = np.full((members, widest), entries)
             for r in range(members):
                 own = np.flatnonzero(index.into == r)
                 candidates[r, : len(own)] = own
-            probs = np.zeros((len(stages), entries + 1))
-            probs[:, :-1] = np.concatenate(
-                [mat.ravel() for stage in stages for mat in stage.tensor.probs]
-            ).reshape(len(stages), entries)
+            probs = np.pad(group.probs, ((0, 0), (0, 1)))
             k, r, c = np.nonzero(probs[:, candidates])
             entry = candidates[r, c]
             w = probs[k, entry]
-            per_row = np.bincount(k * members + r, minlength=len(stages) * members)
+            per_row = np.bincount(k * members + r, minlength=len(probs) * members)
             slot = np.arange(len(k)) - (np.cumsum(per_row) - per_row)[k * members + r]
-            at = np.array(collisions)
+            at = np.array(group.collisions)
             rows = first_row[at][:, None] + np.arange(members)
-            count[rows] = per_row.reshape(len(stages), members)
+            count[rows] = per_row.reshape(rows.shape)
             row_of[index.system, at[:, None], index.ancilla] = rows
             at, row, out = at[k], rows[k, r], index.out[entry]
             weight[row, slot] = w
@@ -279,7 +265,7 @@ class _SamplerTables:
             heat[row, slot] = realized.system_heat_ids[index.system[r], index.system[out]]
             pair[row, slot] = index.ancilla[r] * width + index.ancilla[out]
             sigma_term[row, slot] = beta_diff[at] * heat_value[heat[row, slot]]
-            log_p_term[row, slot] = self.log_q[at, index.ancilla[r]] + _logs(w.tolist())
+            log_p_term[row, slot] = self.log_q[at, index.ancilla[r]] + _logs(w)
 
         span = int(count.max())
         self.steps = span - 1

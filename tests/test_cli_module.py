@@ -1,0 +1,43 @@
+"""``python -m heatchain.cli`` runs the command line, with its exit codes."""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_cli(*args: str, cwd: Path) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "heatchain.cli", *args],
+        cwd=cwd,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+
+
+def test_missing_model_exits_2(tmp_path):
+    result = run_cli("validate", str(tmp_path / "missing.json"), cwd=tmp_path)
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: ")
+
+
+def test_validate_resonant_chain_exits_0(tmp_path):
+    result = run_cli("validate", str(ROOT / "demos" / "models" / "resonant_chain.json"), cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    *checks, elapsed = result.stdout.splitlines()
+    assert [line.split(" (")[0] for line in checks] == [
+        f"{check}[collision {c}]: pass"
+        for c in (1, 2, 3)
+        for check in ("unitarity", "detailed_balance")
+    ]
+    assert elapsed.startswith("elapsed: ")
