@@ -245,7 +245,10 @@ def _settings(document: Mapping) -> RunSettings:
 
 def load_model_file(path: str | Path) -> tuple[ModelConfig, RunSettings]:
     """Read a JSON model document from disk."""
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ModelError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     try:
         document = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -53,12 +53,14 @@ Text output
 The CSV and JSON exports and the sampler's ``--dump`` lines are written
 by one block formatter, ``_text_block``: a block of rows (512 keys of an
 export, one 256-shot block of a dump) is a ``(rows, cells)`` object array
-of text, joined once.  Each list column is one fancy index into a per-id
-table of cells whose separators are already appended (``_list_tables``),
-and the floats of a block are formatted by one call: ``repr`` for CSV,
-the JSON encoder for JSON, so ``NaN`` and ``Infinity`` follow JSON's
-rules.  The JSON export has the bytes of ``json.dumps(distribution_to_json
-(dist), indent=2)``, without the dict or the indenting encoder.
+of text, joined once.  A list column is cut into runs of up to ``c``
+consecutive ids; a run's ids, read as one number, index a table of the
+run's joined texts with separators appended (``_list_tables``), so a row
+of N items takes about N / c lookups.  The floats of a block are
+formatted by one call: ``repr`` for CSV, the JSON encoder for JSON, so
+``NaN`` and ``Infinity`` follow JSON's rules.  The JSON export has the
+bytes of ``json.dumps(distribution_to_json(dist), indent=2)``, without
+the dict or the indenting encoder.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, product
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -118,6 +120,7 @@ HeatKey = tuple[Fraction, ...]
 
 _CODE_LIMIT = 2**63  # int64 key codes stay below this
 _EXPORT_BLOCK_ROWS = 512  # keys per block of exported text
+_RUN_CELLS = 256  # most cells in a table of list runs (see _list_tables)
 _BLOCK_PATHS = 2**14  # paths per frontier expansion in _path_blocks
 
 
@@ -520,43 +523,16 @@ def iter_augmented_paths(
 
     The weight multiplies the initial thermal probability, each ancilla's
     thermal weight and the jump probability of each collision; zero-weight
-    branches are skipped.  Paths stream one at a time from an explicit
-    stack, in the depth-first order of the via-ancilla sweep.
+    branches are skipped.  Paths stream in the depth-first order of the
+    via-ancilla sweep, a block of :func:`_path_blocks` at a time.
     """
     realized = realize_model(model)
     layers = _ancilla_layers(realized)
     _check_cap(realized, layers, cap, "augmented-path")
-    n = len(layers)
-
-    # children[i][alpha] = (alpha', (n, n'), q(n), jump) per step, reversed.
-    children = [
-        [
-            list(
-                zip(
-                    layer.level[start : start + fan].tolist(),
-                    layer.moves[start : start + fan],
-                    layer.factors[0][start : start + fan].tolist(),
-                    layer.factors[1][start : start + fan].tolist(),
-                )
-            )[::-1]
-            for start, fan in zip(layer.first.tolist(), layer.fan.tolist())
-        ]
-        for layer in layers
-    ]
-    alphas: list[int] = [0] * (n + 1)
-    pairs: list[tuple[int, int]] = [(0, 0)] * n
-    p0 = realized.system_state.populations
-    stack = [(0, start, None, float(p)) for start, p in enumerate(p0) if p > 0.0][::-1]
-    while stack:
-        step, alpha, pair, weight = stack.pop()
-        alphas[step] = alpha
-        if step:
-            pairs[step - 1] = pair
-        if step == n:
-            yield tuple(alphas), tuple(pairs), weight
-            continue
-        for a_out, move, qw, jump in children[step][alpha]:
-            stack.append((step + 1, a_out, move, weight * qw * jump))
+    for weights, starts, _, steps in _path_blocks(realized, layers):
+        levels = [layer.level[step].tolist() for layer, step in zip(layers, steps)]
+        moves = [list(map(layer.moves.__getitem__, step.tolist())) for layer, step in zip(layers, steps)]
+        yield from zip(zip(starts.tolist(), *levels), zip(*moves), weights.tolist())
 
 
 def exact_forward_joint_via_ancilla_paths(
@@ -839,17 +815,39 @@ def _cells(texts) -> np.ndarray:
 
 
 def _list_tables(
-    texts: Sequence[str], separator: str, after: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cells of a list's items by id: text and separator inside the list, text and ``after`` last."""
-    return _cells(t + separator for t in texts), _cells(t + after for t in texts)
+    texts: Sequence[str], separator: str, after: str, n: int, rows: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cells of a list of ``n`` ids into ``texts``, a run of ``c`` consecutive items per cell.
+
+    A run's cell is its items' texts in order, each followed by
+    ``separator``, but the closing run (the last ``1..c`` items) ends with
+    ``after``.  A run is looked up by its ids read as a base-``R`` number,
+    ``R = len(texts)``: returned are the place values, then the cells of
+    full runs and of the closing run by that code.  ``c`` is the widest
+    run, at most ``n``, whose ``R**c`` cells stay within ``_RUN_CELLS`` and
+    the ``rows`` served (but at least 1), so small laws build small tables.
+    """
+    size, width = len(texts), 1
+    while width < n and size ** (width + 1) <= min(_RUN_CELLS, max(rows, size)):
+        width += 1
+    middle, last = [t + separator for t in texts], [t + after for t in texts]
+    return (
+        size ** np.arange(width - 1, -1, -1, dtype=np.int64),
+        _cells(map("".join, product(middle, repeat=width))),
+        _cells(map("".join, product(*[middle] * ((n - 1) % width), last))),
+    )
 
 
-def _list_cells(ids: np.ndarray, tables: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """The cells of each row's list of ids, from :func:`_list_tables`."""
-    middle, last = tables
-    cells = middle[ids]
-    cells[:, -1] = last[ids[:, -1]]
+def _list_cells(ids: np.ndarray, tables: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
+    """The run cells of each row's list of ids, from :func:`_list_tables`."""
+    rows, n = ids.shape
+    powers, runs, closing = tables
+    inner = max(n - 1, 0) // len(powers)  # full runs before the closing one
+    full = inner * len(powers)
+    cells = np.empty((rows, inner + (n > 0)), dtype=object)
+    cells[:, :inner] = runs[ids[:, :full].reshape(rows, inner, len(powers)) @ powers]
+    if n:
+        cells[:, -1] = closing[ids[:, full:] @ powers[full - n :]]
     return cells
 
 
@@ -892,13 +890,15 @@ def distribution_to_csv(dist: JointHeatDistribution, include_exact: bool = False
         header += [f"Q_{i}_exact" for i in range(1, n + 1)]
 
     values, ids, _ = _codes(dist)
-    exact = include_exact and ids.shape[1] > 0
-    decimal = _cells(format(float(q), ".12g") + "," for q in values)
-    exact_tables = _list_tables([format_rational(q) for q in values], ",", "\n")
+    keys, width = ids.shape
+    exact = include_exact and width > 0
+    decimal = _list_tables([format(float(q), ".12g") for q in values], ",", ",", width, keys)
+    if exact:
+        exact_tables = _list_tables([format_rational(q) for q in values], ",", "\n", width, keys)
     parts = [",".join(header) + "\n"]
     for rows, probs in _export_blocks(dist):
         tail = [",", _list_cells(rows, exact_tables)] if exact else ["\n"]
-        parts.append(_text_block(len(probs), [decimal[rows], _cells(map(repr, probs)), *tail]))
+        parts.append(_text_block(len(probs), [_list_cells(rows, decimal), _cells(map(repr, probs)), *tail]))
     return "".join(parts)
 
 
@@ -925,14 +925,14 @@ def _distribution_json_text(dist: JointHeatDistribution) -> str:
         [json.dumps(format_rational(q)) for q in values],
         ",\n        ",
         '\n      ],\n      "probability": ',
+        ids.shape[1], len(ids),
     )
-    width = ids.shape[1]
-    opening = ',\n    {\n      "heats": ' + ("[\n        " if width else '[],\n      "probability": ')
+    opening = ',\n    {\n      "heats": ' + ("[\n        " if ids.shape[1] else '[],\n      "probability": ')
     parts = [head[: -len("]\n}")]]
     for rows, probs in _export_blocks(dist):
-        heats = [_list_cells(rows, heat_tables)] if width else []
+        heats = _list_cells(rows, heat_tables)
         probabilities = _cells(json.dumps(probs)[1:-1].split(", "))
-        parts.append(_text_block(len(probs), [opening, *heats, probabilities, "\n    }"]))
+        parts.append(_text_block(len(probs), [opening, heats, probabilities, "\n    }"]))
     parts[1] = parts[1][1:]  # no comma before the first entry
     parts.append("\n  ]\n}\n")
     return "".join(parts)

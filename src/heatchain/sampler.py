@@ -39,7 +39,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import islice
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping
@@ -211,7 +211,7 @@ class _SamplerTables:
     def __init__(self, model: ModelConfig) -> None:
         realized = realize_model(model)
         n = self.n = model.n_collisions
-        dim = model.system.dim
+        dim = self.dim = model.system.dim
         beta_diff = np.array([anc.beta - model.system_beta for anc in model.ancillas])
 
         p0 = realized.system_state.populations
@@ -287,15 +287,24 @@ class _SamplerTables:
         self.move_offset = self.cell_offset * width
 
         self.pairs = [(n_in, n_out) for n_in in range(width) for n_out in range(width)]
-        # Dump-line cells of each level, ancilla pair and heat, as JSON text
-        # followed by what comes after it in a line: a comma inside a list,
-        # the next key after the last item.
-        levels = [json.dumps(a) for a in range(dim)]
+
+    @cached_property
+    def dump_cells(self) -> tuple[tuple[np.ndarray, ...], ...]:
+        """Dump-line run cells of the levels, ancilla pairs and heats, built on the first dump.
+
+        Each item is JSON text followed by what comes after it in a line: a
+        comma inside a list, the next key after the last item.  The tables
+        are sized for a block of ``_BLOCK_SHOTS`` lines.
+        """
+        n, rows = self.n, _BLOCK_SHOTS
+        levels = [json.dumps(a) for a in range(self.dim)]
         pairs = [json.dumps(pair) for pair in self.pairs]
         heats = [json.dumps(format_rational(value)) for value in self.heat_fraction]
-        self.level_cells = _list_tables(levels, ", ", '], "ancilla_pairs": [')
-        self.pair_cells = _list_tables(pairs, ", ", '], "heats": [')
-        self.heat_cells = _list_tables(heats, ", ", '], "sigma": ')
+        return (
+            _list_tables(levels, ", ", '], "ancilla_pairs": [', n + 1, rows),
+            _list_tables(pairs, ", ", '], "heats": [', n, rows),
+            _list_tables(heats, ", ", '], "sigma": ', n, rows),
+        )
 
 
 @lru_cache(maxsize=64)
@@ -442,18 +451,19 @@ def _dump_text(
 ) -> str:
     """One JSON line per row of :func:`_advance`'s arrays: levels, ancilla pairs, exact heats, sigma.
 
-    Each list is read from the tables' dump-line cells by fancy indexing,
+    Each list is read from the tables' dump-line run cells by fancy indexing,
     the sigmas are formatted by one ``json.dumps`` call, and the block is
     joined once, so a line has the bytes ``json.dumps`` gives the shot's
     record as a dict.
     """
+    level_cells, pair_cells, heat_cells = tables.dump_cells
     return _text_block(
         len(sigma),
         [
             '{"alphas": [',
-            _list_cells(alphas, tables.level_cells),
-            _list_cells(pair_codes, tables.pair_cells),
-            _list_cells(ids, tables.heat_cells),
+            _list_cells(alphas, level_cells),
+            _list_cells(pair_codes, pair_cells),
+            _list_cells(ids, heat_cells),
             _cells(json.dumps(sigma.tolist())[1:-1].split(", ")),
             "}\n",
         ],

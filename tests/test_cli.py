@@ -278,6 +278,16 @@ class TestDispatch:
         path = write_model(tmp_path, {"system": {"energies": ["0", "0"], "beta": 1}, "ancillas": []})
         assert dispatch(["verify", str(path)]) == 2
 
+    def test_model_file_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{}")
+        assert dispatch(["validate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: not UTF-8 text")
+        assert "Traceback" not in err
+        with pytest.raises(ModelError, match="not UTF-8 text"):
+            load_model_file(path)
+
     @pytest.mark.parametrize("flag, value", [("--shots", "0"), ("--workers", "0"), ("--seed", "-1")])
     def test_sample_flag_out_of_range_exits_2(self, tmp_path, capsys, flag, value):
         path = write_model(tmp_path, RUNNING_EXAMPLE)

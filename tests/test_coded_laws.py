@@ -2,8 +2,9 @@
 
 The reference below is the path-by-path route: a depth-first sweep that
 folds each path's weight onto a dict keyed by Fraction tuples, the same
-dict fold over ``iter_augmented_paths`` for the via-ancilla route, and a
-log-ratio checker that calls a right-hand side per key.  The package's
+dict fold over an explicit-stack walk of the augmented paths for the
+via-ancilla route, and a log-ratio checker that calls a right-hand side
+per key.  The package's
 coded route must reproduce it exactly: the same entries in the same
 order, the same float bits, the same pruned mass and the same reports.
 """
@@ -108,6 +109,42 @@ def reference_joint(model: ModelConfig, direction: str) -> tuple[JointHeatDistri
     return reference_finalize(accum, direction, model.n_collisions), paths
 
 
+def reference_augmented_paths(model: ModelConfig):
+    """Every augmented path (system levels, ancilla pairs, weight) from an explicit-stack DFS."""
+    realized = realize_model(model)
+    layers = heatstats._ancilla_layers(realized)
+    n = len(layers)
+    # children[i][alpha] = (alpha', (n, n'), q(n), jump) per step, reversed.
+    children = [
+        [
+            list(
+                zip(
+                    layer.level[start : start + fan].tolist(),
+                    layer.moves[start : start + fan],
+                    layer.factors[0][start : start + fan].tolist(),
+                    layer.factors[1][start : start + fan].tolist(),
+                )
+            )[::-1]
+            for start, fan in zip(layer.first.tolist(), layer.fan.tolist())
+        ]
+        for layer in layers
+    ]
+    alphas: list[int] = [0] * (n + 1)
+    pairs: list[tuple[int, int]] = [(0, 0)] * n
+    p0 = realized.system_state.populations
+    stack = [(0, start, None, float(p)) for start, p in enumerate(p0) if p > 0.0][::-1]
+    while stack:
+        step, alpha, pair, weight = stack.pop()
+        alphas[step] = alpha
+        if step:
+            pairs[step - 1] = pair
+        if step == n:
+            yield tuple(alphas), tuple(pairs), weight
+            continue
+        for a_out, move, qw, jump in children[step][alpha]:
+            stack.append((step + 1, a_out, move, weight * qw * jump))
+
+
 def reference_via_ancillas(model: ModelConfig) -> tuple[JointHeatDistribution, int]:
     anc_heat = [
         [[e_out - e_in for e_out in anc.spectrum.levels] for e_in in anc.spectrum.levels]
@@ -115,11 +152,19 @@ def reference_via_ancillas(model: ModelConfig) -> tuple[JointHeatDistribution, i
     ]
     accum: dict = {}
     paths = 0
-    for _, pairs, weight in iter_augmented_paths(model, cap=2**62):
+    for _, pairs, weight in reference_augmented_paths(model):
         key = tuple(anc_heat[i][n_in][n_out] for i, (n_in, n_out) in enumerate(pairs))
         accum[key] = accum.get(key, 0.0) + weight
         paths += 1
     return reference_finalize(accum, "forward", model.n_collisions), paths
+
+
+def plain(paths) -> list:
+    """Augmented paths with their types and weight bits spelled out."""
+    return [
+        (alphas, pairs, weight.hex(), {type(x) for x in alphas + sum(pairs, ())}, type(weight))
+        for alphas, pairs, weight in paths
+    ]
 
 
 def reference_marginalize(dist: JointHeatDistribution, coords: Sequence[int]) -> dict:
@@ -335,6 +380,7 @@ def assert_enumerations_match(model):
 
     reference, paths = reference_via_ancillas(model)
     via = exact_forward_joint_via_ancilla_paths(model, cap=paths)
+    assert plain(iter_augmented_paths(model, cap=paths)) == plain(reference_augmented_paths(model))
     assert bits(via) == bits(reference)
     with pytest.raises(EnumerationCapError, match=f"needs {paths} paths"):
         exact_forward_joint_via_ancilla_paths(model, cap=paths - 1)
@@ -604,7 +650,7 @@ def test_caps_count_only_nonzero_paths():
 
 # ---------------------------------------------------------------------------
 # The trajectory average of the entropy production, block by block, against
-# the path-by-path loop over ``iter_augmented_paths``.
+# the path-by-path loop over ``reference_augmented_paths``.
 
 
 def reference_trajectory_average(model: ModelConfig) -> float:
@@ -614,7 +660,7 @@ def reference_trajectory_average(model: ModelConfig) -> float:
         log_p0 = np.log(realized.system_state.populations)
         log_qs = [np.log(stage.ancilla_state.populations) for stage in realized.stages]
     total = 0.0
-    for alphas, pairs, weight in iter_augmented_paths(model, cap=2**62):
+    for alphas, pairs, weight in reference_augmented_paths(model):
         value = float(log_p0[alphas[0]] - log_p0[alphas[-1]])
         for i, (n_in, n_out) in enumerate(pairs):
             value += float(log_qs[i][n_in] - log_qs[i][n_out])
