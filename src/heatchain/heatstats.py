@@ -50,17 +50,17 @@ differ only in their right-hand sides.
 
 Text output
 -----------
-The CSV and JSON exports and the sampler's ``--dump`` lines are written
-by one block formatter, ``_text_block``: a block of rows (512 keys of an
-export, one 256-shot block of a dump) is a ``(rows, cells)`` object array
-of text, joined once.  A list column is cut into runs of up to ``c``
-consecutive ids; a run's ids, read as one number, index a table of the
-run's joined texts with separators appended (``_list_tables``), so a row
-of N items takes about N / c lookups.  The floats of a block are
-formatted by one call: ``repr`` for CSV, the JSON encoder for JSON, so
-``NaN`` and ``Infinity`` follow JSON's rules.  The JSON export has the
-bytes of ``json.dumps(distribution_to_json(dist), indent=2)``, without
-the dict or the indenting encoder.
+The CSV and JSON exports and the sampler's ``--dump`` lines are written by one
+block formatter, ``_text_block``: a block of rows (512 keys of an export, one
+256-shot slice of a dump) is a ``(rows, cells)`` object array of text, joined
+once.  A list column is cut into runs of up to ``c`` consecutive ids; a run's
+ids, read as one number, index a table of the run's joined texts with
+separators appended (``_list_tables``), so a row of N items takes about N / c
+lookups.  A block's masses (each distinct one once where neighbours repeat, as
+a sampled law's counts do) are formatted by one call: ``repr`` for CSV, the
+JSON encoder for JSON, so ``NaN`` and ``Infinity`` follow JSON's rules.  The
+JSON export has the bytes of ``json.dumps(distribution_to_json(dist),
+indent=2)``, without the dict or the indenting encoder.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -839,12 +839,12 @@ def _list_tables(
 
 
 def _list_cells(ids: np.ndarray, tables: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
-    """The run cells of each row's list of ids, from :func:`_list_tables`."""
+    """The run cells of each row's list of ids, from :func:`_list_tables` (or such tables stacked)."""
     rows, n = ids.shape
     powers, runs, closing = tables
     inner = max(n - 1, 0) // len(powers)  # full runs before the closing one
     full = inner * len(powers)
-    cells = np.empty((rows, inner + (n > 0)), dtype=object)
+    cells = np.empty((rows, inner + (n > 0), *runs.shape[1:]), dtype=object)
     cells[:, :inner] = runs[ids[:, :full].reshape(rows, inner, len(powers)) @ powers]
     if n:
         cells[:, -1] = closing[ids[:, full:] @ powers[full - n :]]
@@ -868,13 +868,15 @@ def _text_block(rows: int, parts: Sequence) -> str:
     return "".join(cells.ravel().tolist())
 
 
-def _export_blocks(dist: JointHeatDistribution) -> Iterator[tuple[np.ndarray, list[float]]]:
-    """The law's id rows and masses in key order, ``_EXPORT_BLOCK_ROWS`` keys at a time."""
+def _export_blocks(dist: JointHeatDistribution, texts: Callable) -> Iterator[tuple]:
+    """Id rows in key order, ``_EXPORT_BLOCK_ROWS`` keys at a time, and cells of their masses' ``texts``."""
     _, ids, masses = _codes(dist)
     order = _key_order(ids)
     for start in range(0, len(order), _EXPORT_BLOCK_ROWS):
         block = order[start : start + _EXPORT_BLOCK_ROWS]
-        yield ids[block], masses[block].tolist()
+        bits = masses[block].view(np.int64)  # repeated by neighbours, as a sampled law's counts are:
+        bits, at = np.unique(bits, return_inverse=True) if (bits[1:] == bits[:-1]).any() else (bits, ...)
+        yield ids[block], _cells(texts(bits.view(float).tolist()))[at]  # one text per distinct mass
 
 
 def distribution_to_csv(dist: JointHeatDistribution, include_exact: bool = False) -> str:
@@ -891,14 +893,14 @@ def distribution_to_csv(dist: JointHeatDistribution, include_exact: bool = False
 
     values, ids, _ = _codes(dist)
     keys, width = ids.shape
-    exact = include_exact and width > 0
-    decimal = _list_tables([format(float(q), ".12g") for q in values], ",", ",", width, keys)
-    if exact:
+    tables = _list_tables([format(float(q), ".12g") for q in values], ",", ",", width, keys)
+    if exact := include_exact and width > 0:  # stacked, so one read of the run codes serves both
         exact_tables = _list_tables([format_rational(q) for q in values], ",", "\n", width, keys)
+        tables = (tables[0], *map(np.column_stack, zip(tables[1:], exact_tables[1:])))
     parts = [",".join(header) + "\n"]
-    for rows, probs in _export_blocks(dist):
-        tail = [",", _list_cells(rows, exact_tables)] if exact else ["\n"]
-        parts.append(_text_block(len(probs), [_list_cells(rows, decimal), _cells(map(repr, probs)), *tail]))
+    for rows, probs in _export_blocks(dist, lambda masses: map(repr, masses)):
+        heats = _list_cells(rows, tables)
+        parts.append(_text_block(len(rows), [heats[..., 0], probs, ",", heats[..., 1]] if exact else [heats, probs, "\n"]))
     return "".join(parts)
 
 
@@ -929,10 +931,8 @@ def _distribution_json_text(dist: JointHeatDistribution) -> str:
     )
     opening = ',\n    {\n      "heats": ' + ("[\n        " if ids.shape[1] else '[],\n      "probability": ')
     parts = [head[: -len("]\n}")]]
-    for rows, probs in _export_blocks(dist):
-        heats = _list_cells(rows, heat_tables)
-        probabilities = _cells(json.dumps(probs)[1:-1].split(", "))
-        parts.append(_text_block(len(probs), [opening, heats, probabilities, "\n    }"]))
+    for rows, probs in _export_blocks(dist, lambda masses: json.dumps(masses)[1:-1].split(", ")):
+        parts.append(_text_block(len(rows), [opening, _list_cells(rows, heat_tables), probs, "\n    }"]))
     parts[1] = parts[1][1:]  # no comma before the first entry
     parts.append("\n  ]\n}\n")
     return "".join(parts)

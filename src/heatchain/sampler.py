@@ -11,22 +11,27 @@ aggregated in shot order, so output depends only on (master_seed,
 worker_count), never on scheduling.  Every shot consumes exactly ``1 + 2N``
 uniforms from its worker's stream, in order.  Shots are drawn in blocks:
 each worker fills its rows of a ``(shots, 1 + 2N)`` uniform array from one
-``random`` call, which reads the same uniforms as that many scalar draws.
-A block picks the ancilla levels of all collisions at once; only the jump
-picks walk the collisions in turn, since a jump's CDF row depends on the
-current system level, and what the picked jumps determine (levels, heat
-ids, both forms of sigma) is then read for all collisions at once.
+``random`` call, which reads the same uniforms as that many scalar draws,
+so the size of a block moves no draw.  A block holds about ``_BLOCK_CELLS``
+uniforms, and at least ``_BLOCK_SHOTS`` shots, so that each numpy call of
+a long chain's walk still serves many shots.  A block picks the ancilla
+levels of all collisions at once; only the jump picks walk the collisions
+in turn, since a jump's CDF row depends on the current system level, and
+what the picked jumps determine (levels, heat ids, both forms of sigma) is
+then read for all collisions at once.
 Everything runs on one thread; the stream layout is what guarantees that
 a parallel execution would reproduce the same numbers.
 
 The per-shot consistency checks (system-side against ancilla-side heat,
 heat form against log form of the entropy production) are evaluated for a
-whole block at once, so a ConsistencyError is raised before anything of
-the offending block is counted, dumped or yielded.
+whole block at once.  Shots are used in ``_BLOCK_SHOTS``-shot slices of a
+block, and a ConsistencyError is raised before anything of the offending
+slice is counted, dumped or yielded, as if blocks held ``_BLOCK_SHOTS``
+shots.
 
-The command line samples without records: ``_sample`` counts each block's
+The command line samples without records: ``_sample`` counts each slice's
 heat-id rows as code bytes, adds ``exp(-sigma)`` in shot order and writes
-the block's dump lines, building no per-shot object and no Fraction key.
+the slice's dump lines, building no per-shot object and no Fraction key.
 ``iter_trajectories`` reads the same blocks into ``TrajectoryRecord``
 objects for library callers; ``summarize_samples`` counts sampled records
 on the same codes, so both routes give the same law.
@@ -96,9 +101,17 @@ __all__ = [
 
 SIGMA_CONSISTENCY_TOL = 1e-10
 
-# Shots advanced together.  Counts, dump lines and records are taken out of
-# each block, so this bounds the arrays held alive, whatever the shot count.
+# Shots counted, weighed and dumped together: a slice of a block.  Counts and
+# dump lines are taken out of each slice, and a failing shot leaves the
+# slices before its own used, so results are those of blocks this size.
 _BLOCK_SHOTS = 256
+# Uniforms advanced together: a block is the most whole slices whose shots
+# draw at most ``_BLOCK_CELLS`` uniforms (``1 + 2N`` a shot), but at least
+# one slice: 1024 shots at N=30, 512 at N=60, 256 from N=128 on.  That bounds
+# the arrays held alive whatever the shot count.  2**17 raised peak RSS by
+# 1-2 MB.  Blocks start on slice boundaries, so a failing shot leaves the
+# same slices before it as blocks of ``_BLOCK_SHOTS`` would.
+_BLOCK_CELLS = 2**16
 
 
 @dataclass(frozen=True)
@@ -352,9 +365,11 @@ def _advance(tables: _SamplerTables, u: np.ndarray) -> tuple[np.ndarray, ...]:
     collisions come before that walk, and everything read off the picked
     slots after it, each for the whole ``(N, k)`` block in a few calls.
     The float sums add the same terms in the same order as a shot-by-shot
-    loop, so every bit agrees with it.  Returns per-shot arrays: system
-    levels, ancilla (in, out) pair codes, heat ids, sigma and the log path
-    probability.
+    loop, so every bit agrees with it, whatever the number of rows.  Returns
+    per-shot arrays: system levels, ancilla (in, out) pair codes, heat ids,
+    sigma and the log path probability.  A shot that reaches a level of zero
+    initial population, whose log form of sigma is infinite, raises a
+    ModelError naming that level.
     """
     k, n = len(u), tables.n
     alpha = _pick(tables.p0_cum, len(tables.p0_cum), u[:, 0])
@@ -362,7 +377,10 @@ def _advance(tables: _SamplerTables, u: np.ndarray) -> tuple[np.ndarray, ...]:
     slots[:] = tables.cell_offset[:, None]
     for column in tables.anc_columns:
         slots += column[:, None] <= u[:, 1::2].T
-    _walk(tables, slots, alpha * (n * tables.width), u[:, 2::2].T.copy())
+    jump_u = u[:, 2::2].T.copy()
+    del u  # the caller's block of uniforms is freed here if it holds no reference
+    _walk(tables, slots, alpha * (n * tables.width), jump_u)
+    del jump_u
 
     pairs = tables.pair.take(slots)
     heats = tables.heat.take(slots)
@@ -373,21 +391,26 @@ def _advance(tables: _SamplerTables, u: np.ndarray) -> tuple[np.ndarray, ...]:
     moves = pairs + tables.move_offset[:, None]
     heats_agree = (heats == tables.anc_heat_id.reshape(-1).take(moves)).all(axis=0)
     log_q = tables.log_q[:, :, None]
-    # Row 1 + i holds collision i's terms of sigma, of its log form and of
-    # the log path probability, and row 0 their starting values.  Whole-row
-    # assignments: a ufunc writing into a strided plane copies its operands.
-    sums = np.empty((n + 1, 3, k))
+    # Sigma, its log form and the log path probability, one at a time: row 0
+    # of ``terms`` holds the starting value and row 1 + i collision i's term,
+    # taken straight in (mode="clip" skips the buffering of mode="raise";
+    # every index is in range).  Rows are added one whole row per call,
+    # strictly in collision order, as a loop adds: np.sum adds pairwise, and
+    # np.cumsum runs down one column at a time.
+    terms = np.empty((n + 1, k))
+    totals = []
     with np.errstate(invalid="ignore"):  # -inf logs of empty levels, as with floats
-        sums[0, 0] = 0.0  # all-zero heats then sum to +0.0, never -0.0
-        sums[0, 1:] = tables.log_p0[alpha]
-        sums[1:, 0] = tables.sigma_term.take(slots)
-        sums[1:, 1] = (log_q - log_q.transpose(0, 2, 1)).reshape(-1).take(moves)
-        sums[1:, 2] = tables.log_p_term.take(slots)
-        # One whole row per call, strictly in collision order, as a loop adds:
-        # np.sum adds pairwise, and np.cumsum runs down one column at a time.
-        totals = sums[0].copy()
-        for row in sums[1:]:
-            totals += row
+        log_ratio = (log_q - log_q.transpose(0, 2, 1)).reshape(-1)
+        for first, table, index in (
+            (0.0, tables.sigma_term, slots),  # all-zero heats then sum to +0.0, never -0.0
+            (tables.log_p0[alpha], log_ratio, moves),
+            (tables.log_p0[alpha], tables.log_p_term, slots),
+        ):
+            terms[0] = first
+            table.take(index, out=terms[1:], mode="clip")
+            totals.append(terms[0].copy())
+            for row in terms[1:]:
+                totals[-1] += row
         sigma, sigma_log_form, log_p = totals
         sigma_log_form -= tables.log_p0[alphas[:, -1]]
         failed = np.flatnonzero(
@@ -399,6 +422,19 @@ def _advance(tables: _SamplerTables, u: np.ndarray) -> tuple[np.ndarray, ...]:
         if not heats_agree[shot]:
             raise ConsistencyError(
                 "system-side and ancilla-side heats disagree on a sampled jump"
+            )
+        if np.isinf(sigma_log_form[shot]):
+            # Only a level of zero initial population has an infinite log weight.
+            ends = [("system", alphas[shot, -1], tables.log_p0)] + [
+                (f"ancilla {i + 1}", code % tables.width, logs)
+                for i, (code, logs) in enumerate(zip(pairs[:, shot], tables.log_q))
+            ]
+            part, level = next(
+                (part, level) for part, level, logs in ends if np.isinf(logs[level])
+            )
+            raise ModelError(
+                f"the log form of the entropy production is infinite because {part} level "
+                f"{level} has zero initial population but is reached by a sampled trajectory"
             )
         raise ConsistencyError(
             f"entropy production mismatch: heat form {float(sigma[shot])!r}, "
@@ -509,16 +545,39 @@ def sample_trajectory(model: ModelConfig, rng: np.random.Generator) -> Augmented
 
 
 def _blocks(tables: _SamplerTables, config: SamplerConfig) -> Iterator[tuple[np.ndarray, ...]]:
-    """:func:`_advance`'s arrays for each block of ``config.shots`` shots, in shot order."""
+    """:func:`_advance`'s arrays for each block of ``config.shots`` shots, in shot order.
+
+    A block is the most whole ``_BLOCK_SHOTS``-shot slices that draw at most
+    ``_BLOCK_CELLS`` uniforms, and at least one slice.  If a shot of it
+    fails a check, the streams are set back to where the block began and
+    its shots are drawn and advanced again a slice at a time, so the slices
+    before the failing one are yielded before the error is raised, as from
+    blocks of ``_BLOCK_SHOTS``.  The streams are counter-based and a draw
+    reads the same uniforms whatever its shape, so no draw moves.
+    """
     # Shot j is served by worker j mod W, so with W >= shots worker j serves
     # shot j alone, and workers past the last shot are never built.
     workers = min(config.worker_count, config.shots)
     streams = [substream(config.master_seed, w) for w in range(workers)]
     width = 1 + 2 * tables.n
-    for start in range(0, config.shots, _BLOCK_SHOTS):
-        size = min(_BLOCK_SHOTS, config.shots - start)
-        # The uniforms are dropped once advanced, before the block is used.
-        yield _advance(tables, _block_uniforms(streams, start, size, width))
+    rows = max(1, _BLOCK_CELLS // width // _BLOCK_SHOTS) * _BLOCK_SHOTS
+    for start in range(0, config.shots, rows):
+        size = min(rows, config.shots - start)
+        serving = [streams[(start + first) % workers] for first in range(min(workers, size))]
+        states = [stream.bit_generator.state for stream in serving]
+        try:  # the uniforms are held by _advance alone, which drops them after the walk
+            block = _advance(tables, _block_uniforms(streams, start, size, width))
+        except (ConsistencyError, ModelError):
+            pass  # raised again below, outside this handler
+        else:
+            yield block
+            continue
+        # Draw the block's uniforms again, a slice at a time; the failing slice raises.
+        for stream, state in zip(serving, states):
+            stream.bit_generator.state = state
+        for first in range(start, start + size, _BLOCK_SHOTS):
+            part = min(_BLOCK_SHOTS, start + size - first)
+            yield _advance(tables, _block_uniforms(streams, first, part, width))
 
 
 def iter_trajectories(model: ModelConfig, config: SamplerConfig) -> Iterator[TrajectoryRecord]:
@@ -526,7 +585,8 @@ def iter_trajectories(model: ModelConfig, config: SamplerConfig) -> Iterator[Tra
 
     Per-shot exact heat equivalence and the two entropy-production forms
     are checked for each block before its records are yielded; a failure
-    raises ConsistencyError.
+    raises ConsistencyError once the records of the ``_BLOCK_SHOTS``-shot
+    slices before the failing shot's are yielded.
     """
     tables = _tables(model)
     for block in _blocks(tables, config):
@@ -538,17 +598,19 @@ def _sample(
 ) -> SampleSummary:
     """Summarize ``config.shots`` shots straight from their blocks, as records would be.
 
-    With ``dump``, each block's dump lines are passed to it before the
-    block is counted.  A ConsistencyError leaves the lines of the earlier
-    blocks dumped, as a record stream would.
+    With ``dump``, the dump lines of each ``_BLOCK_SHOTS``-shot slice of a
+    block are passed to it before the slice is counted.  A ConsistencyError
+    leaves the lines of the earlier slices dumped, as a record stream would.
     """
     tables = _tables(model)
     tally = _Tally()
-    for alphas, pair_codes, ids, sigma, _ in _blocks(tables, config):
-        if dump is not None:
-            dump(_dump_text(tables, alphas, pair_codes, ids, sigma))
-        tally.count_block(tables, ids)
-        tally.weigh(sigma.tolist())
+    for block in _blocks(tables, config):
+        for first in range(0, len(block[0]), _BLOCK_SHOTS):
+            alphas, pair_codes, ids, sigma, _ = (a[first : first + _BLOCK_SHOTS] for a in block)
+            if dump is not None:
+                dump(_dump_text(tables, alphas, pair_codes, ids, sigma))
+            tally.count_block(tables, ids)
+            tally.weigh(sigma)
     return tally.summary(config.shots)
 
 
@@ -755,8 +817,9 @@ class _Tally:
     def count_block(self, tables: _SamplerTables, ids: np.ndarray) -> None:
         """Count a block's ``(k, N)`` heat-id rows; every block comes from ``tables``."""
         self.source = tables
-        codes, stride = ids.tobytes(), ids.itemsize * tables.n
-        self.counts.update(codes[s : s + stride] for s in range(0, len(codes), stride))
+        # A row viewed as one void item is read out as the bytes of the row.
+        rows = np.ascontiguousarray(ids).view(np.dtype((np.void, ids.itemsize * tables.n)))
+        self.counts.update(rows.ravel().tolist())
         self.seen += len(ids)
         self.n_collisions = tables.n
 
@@ -774,12 +837,19 @@ class _Tally:
         self.seen += len(records)
         self.n_collisions = len(records[-1].heats)
 
-    def weigh(self, sigmas: Iterable[float]) -> None:
-        """Add ``exp(-sigma)`` and its square, strictly in shot order."""
-        for sigma in sigmas:
-            w = math.exp(-sigma)
-            self.exp_sum += w
-            self.exp_sq_sum += w * w
+    def weigh(self, sigmas: np.ndarray) -> None:
+        """Add ``exp(-sigma)`` and its square, strictly in shot order.
+
+        ``math.exp`` is mapped over the shots (``np.exp`` may differ from it
+        in the last bit), and each sum runs on from its total by
+        ``np.add.accumulate``, which adds in order where ``np.sum`` adds
+        pairwise, so every bit is that of a shot-by-shot loop.
+        """
+        w = np.fromiter(map(math.exp, (-sigmas).tolist()), dtype=float, count=len(sigmas))
+        with np.errstate(over="ignore"):  # to inf, as float arithmetic overflows
+            sums = np.add.accumulate(np.concatenate(([self.exp_sum], w)))
+            squares = np.add.accumulate(np.concatenate(([self.exp_sq_sum], w * w)))
+        self.exp_sum, self.exp_sq_sum = sums[-1].item(), squares[-1].item()
 
     def empirical(self, shots: int | None) -> EmpiricalJoint:
         total = shots if shots is not None else self.seen
@@ -842,6 +912,6 @@ def summarize_samples(
     """
     tally = _Tally()
     for chunk in _chunks(records):
-        tally.weigh([record.sigma for record in chunk])
+        tally.weigh(np.array([record.sigma for record in chunk]))
         tally.count_records(chunk)
     return tally.summary(shots)

@@ -348,3 +348,31 @@ def test_entropy_on_zero_population_level_exits_2(tmp_path, capsys):
     assert "has zero initial population" in captured.err
     assert "Traceback" not in captured.err
     assert not report.exists()
+
+
+ZERO_POPULATION_SWAP = {"energies": ["0", "1000"], "beta": 1.0,
+                        "unitary": {"kind": "partial_swap", "theta": 0.7853981633974483}}
+
+
+@pytest.mark.parametrize(
+    "system_beta, ancillas, part",
+    [
+        # The entropy test's document: system level 0 and ancilla level 1 both empty.
+        (-1.0, [ZERO_POPULATION_SWAP], "system level 0"),
+        # A uniform system: only the ancilla's excited level is empty.
+        (0.0, [ZERO_POPULATION_SWAP], "ancilla 1 level 1"),
+        (0.0, [{**ZERO_POPULATION_SWAP, "unitary": {"kind": "identity"}}, ZERO_POPULATION_SWAP],
+         "ancilla 2 level 1"),
+    ],
+)
+def test_sample_reaching_a_zero_population_level_exits_2(tmp_path, capsys, system_beta, ancillas, part):
+    document = {"system": {"energies": ["0", "1000"], "beta": system_beta}, "ancillas": ancillas}
+    path = write_model(tmp_path, document)
+    out = tmp_path / "law.csv"
+    assert dispatch(["sample", str(path), "--shots", "600", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: the log form of the entropy production is infinite because {part} "
+        "has zero initial population but is reached by a sampled trajectory\n"
+    )
+    assert not out.exists()
