@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -220,19 +220,6 @@ class CollisionStage:
     tensor: TransitionTensor
     ancilla_state: ThermalState
     propagator: Propagator
-
-    @cached_property
-    def outcomes(self) -> Mapping[tuple[int, int], tuple[tuple[int, int, float], ...]]:
-        """Joint input ``(alpha, n)`` -> its shell's nonzero ``(alpha', n', prob)`` jumps."""
-        table: dict[tuple[int, int], tuple[tuple[int, int, float], ...]] = {}
-        for shell, probs in zip(self.tensor.shells, self.tensor.probs):
-            for j, member_in in enumerate(shell.members):
-                table[member_in] = tuple(
-                    (member_out[0], member_out[1], float(probs[i, j]))
-                    for i, member_out in enumerate(shell.members)
-                    if probs[i, j] != 0.0
-                )
-        return table
 
 
 class SpectrumGroup(NamedTuple):

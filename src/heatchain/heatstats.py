@@ -36,7 +36,8 @@ There are two enumeration routes, run by one numpy layer sweep
 (``_sweep``).  The system-path route steps through the chain of
 per-collision propagators, in collision order for the forward law and
 reversed for the backward one.  The via-ancilla route steps through each
-collision's jump table (``CollisionStage.outcomes``) and reads heats off
+collision's jumps, read off its jump probabilities through the ``jumps``
+index of its shells (the table the sampler reads too), and reads heats off
 the ancillas.  Paths come out in depth-first order and every weight and
 sum is formed in that order, so the laws are bit-identical to a
 path-by-path loop.  ``_path_blocks`` walks the same layers in the same
@@ -84,6 +85,7 @@ from .model import (
     single_collision_model,
     truncated_model,
 )
+from .unitaries import _shell_index
 
 __all__ = [
     "PRUNE_THRESHOLD",
@@ -339,30 +341,35 @@ def _system_layers(realized: RealizedModel, direction: str) -> list[_Layer]:
 
 
 def _ancilla_layers(realized: RealizedModel) -> list[_Layer]:
-    """Per collision, each occupied ancilla level ``n`` and then its jumps ``(alpha', n')``."""
-    layers = []
-    for stage, heat in zip(realized.stages, realized.ancilla_heat_ids):
-        steps = [
-            [
-                (a_out, heat[n_in, n_out], q, jump, (n_in, n_out))
-                for n_in, q in enumerate(stage.ancilla_state.populations.tolist())
-                if q != 0.0
-                for a_out, n_out, jump in stage.outcomes[(alpha, n_in)]
-            ]
-            for alpha in range(realized.config.system.dim)
-        ]
-        fan = np.array([len(out) for out in steps], dtype=np.intp)
-        flat = [step for out in steps for step in out]
-        layers.append(
-            _Layer(
-                np.cumsum(fan) - fan,
-                fan,
-                np.array([s[0] for s in flat], dtype=np.min_scalar_type(len(steps) - 1)),
-                np.array([s[1] for s in flat], dtype=heat.dtype),
-                (np.array([s[2] for s in flat]), np.array([s[3] for s in flat])),
-                [s[4] for s in flat],
-            )
+    """Per collision, each input ``(alpha, n)`` with ``n`` occupied, then its nonzero jumps ``(alpha', n')``.
+
+    Inputs go by system level and then ancilla level, each one's jumps in
+    output order.  A spectrum group's layers are read at once off its
+    stacked jump probabilities through the shells' ``jumps`` index.
+    """
+    dim = realized.config.system.dim
+    layers = [None] * len(realized.stages)
+    for group in realized.groups:
+        index = _shell_index(group.shells)
+        inputs = np.lexsort((index.ancilla, index.system))
+        jumps, n_in = index.jumps[inputs], index.ancilla[inputs]
+        q = np.array([realized.stages[i].ancilla_state.populations for i in group.collisions])
+        probs = np.pad(group.probs, ((0, 0), (0, 1)))[:, jumps]
+        k, r, c = np.nonzero((probs != 0.0) & (q[:, n_in] != 0.0)[:, :, None])
+        out, n_in = index.out[jumps[r, c]], n_in[r]
+        n_out = index.ancilla[out]
+        fan = np.bincount(k * dim + index.system[inputs][r], minlength=len(q) * dim).reshape(-1, dim)
+        columns = (
+            index.system[out].astype(np.min_scalar_type(dim - 1)),
+            realized.ancilla_heat_ids[group.collisions[0]][n_in, n_out],
+            q[k, n_in],
+            probs[k, r, c],
         )
+        ends = np.cumsum(fan.sum(axis=1)).tolist()
+        for i, f, lo, hi in zip(group.collisions, fan, [0] + ends, ends):
+            level, heat, *factors = (column[lo:hi] for column in columns)
+            moves = list(zip(n_in[lo:hi].tolist(), n_out[lo:hi].tolist()))
+            layers[i] = _Layer(np.cumsum(f) - f, f, level, heat, tuple(factors), moves)
     return layers
 
 

@@ -206,19 +206,20 @@ class _SamplerTables:
     entry is +inf, like its padding, so the count of entries ``<= u`` is
     ``bisect_right`` clamped to the row's last index.  ``anc_columns[c, i]``
     is entry ``c`` of collision ``i``'s ancilla CDF, one column per array
-    row.  Jumps are stored flat, ``span`` slots per ``CollisionStage.outcomes``
-    row, one slot per outcome: ``row_start[alpha * N * width + i * width +
-    n]`` is the first slot of joint input ``(alpha, n)`` at collision ``i``,
-    and ``cdf[slot]`` is the row's CDF entry there, so stepping on to the
-    next slot while that entry is ``<= u`` stops on the pick within
-    ``span - 1`` steps.  The other slot tables hold what an outcome
+    row.  Jumps are stored flat, ``span`` slots per joint input of a
+    collision, one slot per nonzero jump: ``row_start[alpha * N * width + i
+    * width + n]`` is the first slot of joint input ``(alpha, n)`` at
+    collision ``i``, and ``cdf[slot]`` is the row's CDF entry there, so
+    stepping on to the next slot while that entry is ``<= u`` stops on the
+    pick within ``span - 1`` steps.  The other slot tables hold what a jump
     determines: its system level (also pre-scaled by ``N * width``, for the
     next ``row_start`` read), its system-side heat id, its ancilla pair
     code, its heat-form term of sigma and its term of the log path
     probability.  The ancilla side of each consistency check, heat ids and
     the log form of sigma, is read from ``anc_heat_id`` and ``log_q`` at
     sampling time instead.  Slots are filled a spectrum group at a time, from
-    the stacked jump probabilities that ``RealizedModel.groups`` keeps.
+    the stacked jump probabilities that ``RealizedModel.groups`` keeps, read
+    through the ``jumps`` index of the group's shells.
     """
 
     def __init__(self, model: ModelConfig) -> None:
@@ -244,8 +245,9 @@ class _SamplerTables:
             self.anc_heat_id[i, : len(q), : len(q)] = realized.ancilla_heat_ids[i]
 
         # One row per joint input of each collision, in collision order and
-        # then in the order of CollisionStage.outcomes; a row's slots hold its
-        # nonzero jumps in output order, read off each group's stacked probs.
+        # then in shell member order; a row's slots hold its nonzero jumps in
+        # output order, read off each group's stacked probs through the
+        # shells' ``jumps`` index.
         first_row = np.cumsum([0] + [dim * stage.spectrum.dim for stage in realized.stages])
         widest = max(shell.size for group in realized.groups for shell in group.shells)
         weight = np.zeros((first_row[-1], widest))
@@ -256,15 +258,10 @@ class _SamplerTables:
         heat_value = np.array([float(value) for value in self.heat_fraction])
         for group in realized.groups:
             index = _shell_index(group.shells)
-            members, entries = len(index.system), len(index.out)
-            # Each input member's entries by output, padded with a zero weight.
-            candidates = np.full((members, widest), entries)
-            for r in range(members):
-                own = np.flatnonzero(index.into == r)
-                candidates[r, : len(own)] = own
-            probs = np.pad(group.probs, ((0, 0), (0, 1)))
-            k, r, c = np.nonzero(probs[:, candidates])
-            entry = candidates[r, c]
+            members = len(index.system)
+            probs = np.pad(group.probs, ((0, 0), (0, 1)))  # the zero weight ``jumps`` pads with
+            k, r, c = np.nonzero(probs[:, index.jumps])
+            entry = index.jumps[r, c]
             w = probs[k, entry]
             per_row = np.bincount(k * members + r, minlength=len(probs) * members)
             slot = np.arange(len(k)) - (np.cumsum(per_row) - per_row)[k * members + r]

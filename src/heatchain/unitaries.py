@@ -88,7 +88,10 @@ class _ShellIndex(NamedTuple):
     blocks flatten shell by shell, each row-major, into one row: with
     ``first, size = spans[k]``, the block of shell ``k`` is the ``size x
     size`` matrix at ``row[first:]``, and entry ``e`` of the row leads from
-    input member ``into[e]`` to output member ``out[e]``.
+    input member ``into[e]`` to output member ``out[e]``.  ``jumps[r]``, the
+    jump table that the via-ancilla layers and the sampler read a row through,
+    lists input member ``r``'s entries by output member, padded with
+    ``len(out)``: the index of a zero weight appended to a row.
     """
 
     system: np.ndarray  # per member, its system level
@@ -96,6 +99,7 @@ class _ShellIndex(NamedTuple):
     shell: np.ndarray  # per member, its shell
     out: np.ndarray
     into: np.ndarray
+    jumps: np.ndarray
     spans: tuple[tuple[int, int], ...]
     position: Mapping[JointIndex, tuple[int, int]]  # member -> (shell, place in it)
 
@@ -106,20 +110,24 @@ def _shell_index(shells: tuple[EnergyShell, ...]) -> _ShellIndex:
     out: list[int] = []
     into: list[int] = []
     spans = []
+    members = [member for shell in shells for member in shell.members]
+    sizes = [shell.size for shell in shells]
+    jumps = np.full((len(members), max(sizes)), sum(size * size for size in sizes), dtype=np.intp)
     first = 0
-    for shell in shells:
-        spans.append((len(out), shell.size))
-        numbers = range(first, first + shell.size)
+    for size in sizes:
+        spans.append((len(out), size))
+        numbers = range(first, first + size)
+        jumps[numbers, :size] = (len(out) + np.arange(size * size)).reshape(size, size).T
         out += [i for i in numbers for _ in numbers]
         into += [j for _ in numbers for j in numbers]
-        first += shell.size
-    members = [member for shell in shells for member in shell.members]
+        first += size
     arrays = [
         np.array([a for a, _ in members], dtype=np.intp),
         np.array([n for _, n in members], dtype=np.intp),
-        np.repeat(np.arange(len(shells)), [shell.size for shell in shells]),
+        np.repeat(np.arange(len(shells)), sizes),
         np.array(out, dtype=np.intp),
         np.array(into, dtype=np.intp),
+        jumps,
     ]
     for array in arrays:
         array.flags.writeable = False

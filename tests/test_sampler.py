@@ -35,6 +35,7 @@ from heatchain import (
 from heatchain import sampler
 from heatchain.sampler import AugmentedTrajectory
 from heatchain.streams import substream
+from test_realization import reference_outcomes
 
 # Frozen from the brute-force post-collision sum over the jump tensor for
 # theta = pi/4, system beta 1, ancilla beta 2, gap 1.
@@ -355,7 +356,7 @@ class ReferenceTables:
                         row,
                         [math.log(w) for _, _, w in row],
                     )
-                    for member_in, row in stage.outcomes.items()
+                    for member_in, row in reference_outcomes(stage.shells, stage.tensor.probs).items()
                 }
             )
         self.heat_fraction = list(registry)
