@@ -35,7 +35,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -59,15 +59,10 @@ from .model import (
     ModelConfig,
     ModelError,
     Spectrum,
+    format_rational,
     parse_rational,
 )
-from .sampler import (
-    SamplerConfig,
-    _dump_text,
-    _record_block,
-    _sample,
-    average_entropy_production,
-)
+from .sampler import SamplerConfig, _post_states, _sample, average_entropy_production
 from .unitaries import UnitarySpec, validate_energy_preservation
 
 __all__ = ["parse_model", "load_model_file", "RunSettings", "dispatch", "main"]
@@ -363,6 +358,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     config, settings = load_model_file(args.model)
     tolerance = args.tolerance if args.tolerance is not None else settings.tolerance
     cap = args.cap if args.cap is not None else settings.enumeration_cap
+    # A reached level of zero initial population has no reversed partner path.
+    _post_states(realize_model(config), "the fluctuation identities are undefined because")
 
     forward = exact_forward_joint(config, cap)
     backward = exact_backward_joint(config, cap)
@@ -404,8 +401,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _dump_line(record) -> str:
-    """The ``--dump`` line of a sampled record, from the formatter the command writes with."""
-    return _dump_text(*_record_block(record))[:-1]
+    """The ``--dump`` line of a sampled record: the reference for the lines the command writes."""
+    return json.dumps({
+        "alphas": list(record.trajectory.alphas),
+        "ancilla_pairs": [list(pair) for pair in record.trajectory.ancilla_pairs],
+        "heats": [format_rational(q) for q in record.heats],
+        "sigma": record.sigma,
+    })
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
@@ -449,22 +451,8 @@ def _cmd_entropy(args: argparse.Namespace) -> int:
         "entropy_consistency", report.passed, f"max pairwise gap {report.max_pairwise_gap:.3e}"
     )
     if args.out:
-        _write_text(
-            Path(args.out),
-            _report_json(
-                {
-                    "command": "entropy",
-                    "model": str(args.model),
-                    "master_seed": config.master_seed,
-                    "heat_average": report.heat_average,
-                    "trajectory_average": report.trajectory_average,
-                    "information_form": report.information_form,
-                    "max_pairwise_gap": report.max_pairwise_gap,
-                    "tolerance": report.tolerance,
-                    "passed": report.passed,
-                }
-            ),
-        )
+        header = {"command": "entropy", "model": str(args.model), "master_seed": config.master_seed}
+        _write_text(Path(args.out), _report_json({**header, **asdict(report)}))
     return 0 if report.passed else 1
 
 

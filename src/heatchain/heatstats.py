@@ -341,7 +341,7 @@ def _system_layers(realized: RealizedModel, direction: str) -> list[_Layer]:
 
 
 def _ancilla_layers(realized: RealizedModel) -> list[_Layer]:
-    """Per collision, each input ``(alpha, n)`` with ``n`` occupied, then its nonzero jumps ``(alpha', n')``.
+    """Per collision, the nonzero jumps ``(alpha', n')`` of each input ``(alpha, n)``, ``n`` occupied.
 
     Inputs go by system level and then ancilla level, each one's jumps in
     output order.  A spectrum group's layers are read at once off its
@@ -358,7 +358,8 @@ def _ancilla_layers(realized: RealizedModel) -> list[_Layer]:
         k, r, c = np.nonzero((probs != 0.0) & (q[:, n_in] != 0.0)[:, :, None])
         out, n_in = index.out[jumps[r, c]], n_in[r]
         n_out = index.ancilla[out]
-        fan = np.bincount(k * dim + index.system[inputs][r], minlength=len(q) * dim).reshape(-1, dim)
+        fan = np.bincount(k * dim + index.system[inputs][r], minlength=len(q) * dim)
+        fan = fan.reshape(-1, dim)
         columns = (
             index.system[out].astype(np.min_scalar_type(dim - 1)),
             realized.ancilla_heat_ids[group.collisions[0]][n_in, n_out],

@@ -51,7 +51,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .chain import CollisionStage, evolve, realize_model
+from .chain import CollisionStage, RealizedModel, evolve, realize_model
 from .heatstats import (
     DEFAULT_ENUMERATION_CAP,
     HeatKey,
@@ -139,7 +139,7 @@ class AugmentedTrajectory:
 class TrajectoryRecord:
     """One sampled shot.
 
-    ``heat_code`` is bookkeeping for the counting and dump paths, outside
+    ``heat_code`` is bookkeeping for the counting path, outside
     the constructor, equality and repr: the sampler tables that drew the
     shot and the bytes of its heat ids in their registry.  Records built by
     hand, or copied with ``dataclasses.replace``, have ``None`` there and
@@ -487,7 +487,7 @@ def _dump_text(
     Each list is read from the tables' dump-line run cells by fancy indexing,
     the sigmas are formatted by one ``json.dumps`` call, and the block is
     joined once, so a line has the bytes ``json.dumps`` gives the shot's
-    record as a dict.
+    record as a dict, which ``cli._dump_line`` writes for a record.
     """
     level_cells, pair_cells, heat_cells = tables.dump_cells
     return _text_block(
@@ -500,19 +500,6 @@ def _dump_text(
             _cells(json.dumps(sigma.tolist())[1:-1].split(", ")),
             "}\n",
         ],
-    )
-
-
-def _record_block(record: TrajectoryRecord) -> tuple:
-    """A sampled record as the one-shot block of arrays it was read from."""
-    tables, code = record.heat_code
-    pairs = record.trajectory.ancilla_pairs
-    return (
-        tables,
-        np.array([record.trajectory.alphas]),
-        np.array([[n_in * tables.width + n_out for n_in, n_out in pairs]]),
-        np.frombuffer(code, dtype=tables.code_dtype)[None],
-        np.array([record.sigma]),
     )
 
 
@@ -683,15 +670,30 @@ def ancilla_post_state(model: ModelConfig, i: int) -> np.ndarray:
     return _ancilla_post(realized.stages[i - 1], p)
 
 
-def _relative_entropy(post: np.ndarray, pre: np.ndarray, part: str) -> float:
-    """``kl_divergence(post, pre)``, or a ModelError naming the level that makes it infinite."""
-    reached = np.flatnonzero((post > 0) & (pre <= 0))
-    if reached.size:
-        raise ModelError(
-            f"the information form is infinite because {part} level {reached[0]} "
-            "has zero initial population but is reached by the chain"
-        )
-    return kl_divergence(post, pre)
+def _post_states(realized: RealizedModel, reason: str) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The final system populations and each ancilla's populations after its collision.
+
+    If they put mass on a level of zero initial population (the system's
+    first, then each ancilla's in collision order), a ModelError names that
+    level after ``reason``.
+    """
+    p = realized.system_state.populations
+    q_posts = []
+    for stage in realized.stages:
+        q_posts.append(_ancilla_post(stage, p))
+        p = evolve(p, stage.propagator)
+    parts = [("system", p, realized.system_state.populations)] + [
+        (f"ancilla {stage.index}", post, stage.ancilla_state.populations)
+        for stage, post in zip(realized.stages, q_posts)
+    ]
+    for part, post, pre in parts:
+        reached = np.flatnonzero((post > 0) & (pre <= 0))
+        if reached.size:
+            raise ModelError(
+                f"{reason} {part} level {reached[0]} has zero initial population "
+                "but is reached by the chain"
+            )
+    return p, q_posts
 
 
 @dataclass(frozen=True)
@@ -746,22 +748,16 @@ def average_entropy_production(
         terms = np.concatenate(([trajectory_average], weight * value))
         trajectory_average = float(np.cumsum(terms)[-1])
 
-    p = realized.system_state.populations
-    q_posts = []
-    for stage in realized.stages:
-        q_posts.append(_ancilla_post(stage, p))
-        p = evolve(p, stage.propagator)
+    p, q_posts = _post_states(realized, "the information form is infinite because")
     information_form = (
         shannon_entropy(p)
         - shannon_entropy(realized.system_state.populations)
-        + _relative_entropy(p, realized.system_state.populations, "system")
+        + kl_divergence(p, realized.system_state.populations)
     )
     for stage, q_post in zip(realized.stages, q_posts):
         q_pre = stage.ancilla_state.populations
         information_form += (
-            shannon_entropy(q_post)
-            - shannon_entropy(q_pre)
-            + _relative_entropy(q_post, q_pre, f"ancilla {stage.index}")
+            shannon_entropy(q_post) - shannon_entropy(q_pre) + kl_divergence(q_post, q_pre)
         )
 
     values = (heat_average, trajectory_average, information_form)

@@ -6,6 +6,7 @@ import pytest
 
 from heatchain import ModelError, distribution_from_json
 from heatchain.cli import dispatch, load_model_file, parse_model
+from test_coded_laws import ZERO_POPULATIONS
 
 RUNNING_EXAMPLE = {
     "system": {"energies": ["0", "1"], "beta": "1"},
@@ -376,3 +377,45 @@ def test_sample_reaching_a_zero_population_level_exits_2(tmp_path, capsys, syste
         "has zero initial population but is reached by a sampled trajectory\n"
     )
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "system_beta, ancillas, part",
+    [
+        (-1.0, [ZERO_POPULATION_SWAP], "system level 0"),
+        (0.0, [ZERO_POPULATION_SWAP], "ancilla 1 level 1"),
+        (0.0, [{**ZERO_POPULATION_SWAP, "unitary": {"kind": "identity"}}, ZERO_POPULATION_SWAP],
+         "ancilla 2 level 1"),
+    ],
+)
+def test_verify_reaching_a_zero_population_level_exits_2(tmp_path, capsys, system_beta, ancillas, part):
+    # The identities have no reversed partner there; this used to print FAILs at residual 0.
+    document = {"system": {"energies": ["0", "1000"], "beta": system_beta}, "ancillas": ancillas}
+    path = write_model(tmp_path, document)
+    report = tmp_path / "verify.json"
+    assert dispatch(["verify", str(path), "--out", str(report)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: the fluctuation identities are undefined because {part} "
+        "has zero initial population but is reached by the chain\n"
+    )
+    assert not report.exists()
+
+
+def test_verify_passes_when_zero_population_levels_are_never_reached(tmp_path, capsys):
+    document = {
+        "system": {"energies": ["0", "1"], "beta": -1.0},
+        "ancillas": [
+            {"energies": ["0", "1", "1000"], "beta": 1.0, "unitary": {"kind": "haar"}},
+            {"energies": ["0", "1"], "beta": 1.0, "unitary": {"kind": "partial_swap", "theta": 0.7}},
+            {"energies": ["0", "1000"], "beta": 2.0, "unitary": {"kind": "haar"}},
+        ],
+        "master_seed": 5,
+    }
+    assert parse_model(document) == ZERO_POPULATIONS
+    path = write_model(tmp_path, document)
+    assert dispatch(["verify", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert out.count(": pass (") == 4
+    assert "FAIL" not in out

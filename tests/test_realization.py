@@ -35,11 +35,11 @@ from heatchain import (
     single_collision_model,
     truncated_model,
 )
-from heatchain import chain, sampler, unitaries
+from heatchain import chain, heatstats, sampler, unitaries
 from heatchain.streams import substream
 from heatchain.unitaries import EnergyShell, _permutation_block, build_energy_shells
 
-from test_coded_laws import models
+from test_coded_laws import TRAJECTORY_MODELS, models
 
 
 # ---------------------------------------------------------------------------
@@ -423,3 +423,69 @@ def test_explicit_block_with_exit_sums_off_by_more_than_1e_10_is_rejected():
     model = chain_of(third, [(third, 1.0, UnitarySpec.haar()), (third, 1.0, spec), bad_swap])
     with pytest.raises(ModelError, match="block at total energy 2/3 is not unitary"):
         realize_model(model)
+
+
+# ---------------------------------------------------------------------------
+# The via-ancilla layer tables against layers built outcome by outcome from
+# ``reference_outcomes`` and the stage populations, so that
+# ``test_coded_laws.reference_augmented_paths``, which reads the package's
+# layers, rests on an independent check of them.
+
+
+def reference_layers(model: ModelConfig) -> list[dict]:
+    realized = realize_model(model)
+    lookup = {value: i for i, value in enumerate(realized.heat_values)}
+    heat_dtype = np.min_scalar_type(len(lookup) - 1)
+    dim = model.system.dim
+    layers = []
+    for stage in realized.stages:
+        table = reference_outcomes(stage.shells, stage.tensor.probs)
+        energies = stage.spectrum.levels
+        q = stage.ancilla_state.populations.tolist()
+        steps = [
+            [
+                (alpha_out, lookup[energies[n_out] - energies[n_in]], q[n_in], w, (n_in, n_out))
+                for n_in in range(len(q))
+                if q[n_in] != 0.0
+                for alpha_out, n_out, w in table[(alpha, n_in)]
+            ]
+            for alpha in range(dim)
+        ]
+        fan = [len(out) for out in steps]
+        flat = [step for out in steps for step in out]
+        layers.append({
+            "first": [sum(fan[:alpha]) for alpha in range(dim)],
+            "fan": fan,
+            "level": np.array([s[0] for s in flat], dtype=np.min_scalar_type(dim - 1)),
+            "heat": np.array([s[1] for s in flat], dtype=heat_dtype),
+            "factors": [[s[2] for s in flat], [s[3] for s in flat]],
+            "moves": [s[4] for s in flat],
+        })
+    return layers
+
+
+def assert_layers_match_reference(model: ModelConfig) -> None:
+    layers = heatstats._ancilla_layers(realize_model(model))
+    expected = reference_layers(model)
+    assert len(layers) == len(expected)
+    for layer, want in zip(layers, expected):
+        assert layer.first.tolist() == want["first"]
+        assert layer.fan.tolist() == want["fan"]
+        for name in ("level", "heat"):
+            got = getattr(layer, name)
+            assert got.dtype == want[name].dtype and got.tobytes() == want[name].tobytes(), name
+        assert len(layer.factors) == 2
+        for factor, values in zip(layer.factors, want["factors"]):
+            assert [x.hex() for x in factor.tolist()] == [x.hex() for x in values]
+        assert [tuple(map(type, move)) for move in layer.moves] == [(int, int)] * len(layer.moves)
+        assert layer.moves == want["moves"]
+
+
+@given(models())
+def test_ancilla_layers_match_reference(model):
+    assert_layers_match_reference(model)
+
+
+@pytest.mark.parametrize("name", sorted(TRAJECTORY_MODELS))
+def test_ancilla_layers_match_reference_on_large_models(name):
+    assert_layers_match_reference(TRAJECTORY_MODELS[name])
