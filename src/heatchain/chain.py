@@ -138,12 +138,13 @@ def assert_detailed_balance(
     """Check ``M(a|b) exp(-beta E_b) = M(b|a) exp(-beta E_a)`` pairwise.
 
     The residual is relative: each side is compared against the larger of
-    the two, and the Gibbs factors are shifted by the minimum energy so
+    the two, and the Gibbs factors are shifted by the minimum energy (the
+    maximum for negative beta) so that every exponent is at most 0 and
     large |beta| cannot overflow.  beta is the *ancilla* temperature; it is
     what makes the system's Gibbs vector at that temperature stationary.
     """
     energies = system.as_floats()
-    shifted = energies - energies.min()
+    shifted = energies - (energies.max() if beta < 0 else energies.min())
     m = propagator.matrix
     worst = 0.0
     worst_pair = (0, 0)

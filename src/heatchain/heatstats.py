@@ -388,6 +388,14 @@ def _check_cap(realized: RealizedModel, layers: list[_Layer], cap: int, route: s
         raise EnumerationCapError(f"{route} enumeration needs {paths} paths, cap is {cap}")
 
 
+def _augmented_layers(model: ModelConfig, cap: int) -> tuple[RealizedModel, list[_Layer]]:
+    """The realized chain and its via-ancilla layers, once their paths fit within ``cap``."""
+    realized = realize_model(model)
+    layers = _ancilla_layers(realized)
+    _check_cap(realized, layers, cap, "augmented-path")
+    return realized, layers
+
+
 def _children(layer: _Layer, level: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each path's steps, laid out contiguously in table order: parent path and step index."""
     fan = layer.fan[level]
@@ -534,9 +542,7 @@ def iter_augmented_paths(
     branches are skipped.  Paths stream in the depth-first order of the
     via-ancilla sweep, a block of :func:`_path_blocks` at a time.
     """
-    realized = realize_model(model)
-    layers = _ancilla_layers(realized)
-    _check_cap(realized, layers, cap, "augmented-path")
+    realized, layers = _augmented_layers(model, cap)
     for weights, starts, _, steps in _path_blocks(realized, layers):
         levels = [layer.level[step].tolist() for layer, step in zip(layers, steps)]
         moves = [list(map(layer.moves.__getitem__, step.tolist())) for layer, step in zip(layers, steps)]
@@ -552,9 +558,7 @@ def exact_forward_joint_via_ancilla_paths(
     path, which exercises an independent enumeration route; the result must
     agree entrywise with :func:`exact_forward_joint`.
     """
-    realized = realize_model(model)
-    layers = _ancilla_layers(realized)
-    _check_cap(realized, layers, cap, "augmented-path")
+    realized, layers = _augmented_layers(model, cap)
     return _sweep(realized, layers, "forward")
 
 

@@ -33,8 +33,8 @@ The command line samples without records: ``_sample`` counts each slice's
 heat-id rows as code bytes, adds ``exp(-sigma)`` in shot order and writes
 the slice's dump lines, building no per-shot object and no Fraction key.
 ``iter_trajectories`` reads the same blocks into ``TrajectoryRecord``
-objects for library callers; ``summarize_samples`` counts sampled records
-on the same codes, so both routes give the same law.
+values for library callers; ``summarize_samples`` counts records on their
+exact heats, in order of first appearance, so both routes give the same law.
 """
 
 from __future__ import annotations
@@ -42,11 +42,10 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import islice
-from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
@@ -56,8 +55,7 @@ from .heatstats import (
     DEFAULT_ENUMERATION_CAP,
     HeatKey,
     JointHeatDistribution,
-    _ancilla_layers,
-    _check_cap,
+    _augmented_layers,
     _Codes,
     _cells,
     _coded_law,
@@ -137,22 +135,12 @@ class AugmentedTrajectory:
 
 @dataclass(frozen=True)
 class TrajectoryRecord:
-    """One sampled shot.
-
-    ``heat_code`` is bookkeeping for the counting path, outside
-    the constructor, equality and repr: the sampler tables that drew the
-    shot and the bytes of its heat ids in their registry.  Records built by
-    hand, or copied with ``dataclasses.replace``, have ``None`` there and
-    are counted on ``heats``.
-    """
+    """One sampled shot: its augmented trajectory, exact heats, sigma and log path probability."""
 
     trajectory: AugmentedTrajectory
     heats: HeatKey
     sigma: float
     log_path_probability: float
-    heat_code: tuple[_SamplerTables, bytes] | None = field(
-        default=None, init=False, compare=False, repr=False
-    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -440,11 +428,6 @@ def _advance(tables: _SamplerTables, u: np.ndarray) -> tuple[np.ndarray, ...]:
     return alphas, pairs.T.copy(), heats.T.copy(), sigma, log_p
 
 
-def _heat_ids(tables: _SamplerTables, code: bytes) -> memoryview:
-    """The heat ids packed in a record's code, as ints."""
-    return memoryview(code).cast(tables.code_dtype.char)
-
-
 def _records(
     tables: _SamplerTables,
     alphas: np.ndarray,
@@ -453,26 +436,17 @@ def _records(
     sigma: np.ndarray,
     log_p: np.ndarray,
 ) -> Iterator[TrajectoryRecord]:
-    """One record per row of :func:`_advance`'s arrays, read cell by cell."""
-    n = tables.n
-    levels = memoryview(alphas.reshape(-1))
-    moves = memoryview(pair_codes.reshape(-1))
-    codes = ids.tobytes()
-    stride = ids.itemsize * n
+    """One record per row of :func:`_advance`'s arrays."""
     pairs, values = tables.pairs, tables.heat_fraction
-    for s, (sig, log_path) in enumerate(zip(sigma.tolist(), log_p.tolist())):
-        code = codes[s * stride : (s + 1) * stride]
-        record = TrajectoryRecord(
-            trajectory=AugmentedTrajectory(
-                tuple(levels[s * (n + 1) : (s + 1) * (n + 1)]),
-                tuple(map(pairs.__getitem__, moves[s * n : (s + 1) * n])),
-            ),
-            heats=tuple(map(values.__getitem__, _heat_ids(tables, code))),
+    for levels, moves, heat_ids, sig, log_path in zip(
+        alphas.tolist(), pair_codes.tolist(), ids.tolist(), sigma.tolist(), log_p.tolist()
+    ):
+        yield TrajectoryRecord(
+            trajectory=AugmentedTrajectory(tuple(levels), tuple(map(pairs.__getitem__, moves))),
+            heats=tuple(map(values.__getitem__, heat_ids)),
             sigma=sig,
             log_path_probability=log_path,
         )
-        object.__setattr__(record, "heat_code", (tables, code))  # frozen, not in __init__
-        yield record
 
 
 def _dump_text(
@@ -727,9 +701,7 @@ def average_entropy_production(
     values, ids, masses = _codes(exact_forward_joint(model, cap))
     heat_average = sum((masses * _exponents(values, ids, deltas)).tolist())
 
-    realized = realize_model(model)
-    layers = _ancilla_layers(realized)
-    _check_cap(realized, layers, cap, "augmented-path")
+    realized, layers = _augmented_layers(model, cap)
     with np.errstate(divide="ignore"):
         log_p0 = np.log(realized.system_state.populations)
         log_qs = [np.log(stage.ancilla_state.populations) for stage in realized.stages]
@@ -783,11 +755,10 @@ def _chunks(records: Iterable[TrajectoryRecord]) -> Iterator[list[TrajectoryReco
 class _Tally:
     """Shot counts per heat key, in order of first appearance, and the ``exp(-sigma)`` sums.
 
-    Sampled shots of one model's tables are counted on the bytes of their
+    Shot blocks of one model's tables are counted on the bytes of their
     heat-id rows, and the law comes out in coded form on the model's heat
-    registry.  A shot of any other source (another model's records, or
-    records built by hand) turns the counts over to Fraction keys, which
-    merges equal heat tuples.
+    registry.  Records are counted on their exact heats.  A tally counts
+    blocks or records, never both.
     """
 
     def __init__(self) -> None:
@@ -797,15 +768,6 @@ class _Tally:
         self.n_collisions = 0
         self.exp_sum = 0.0
         self.exp_sq_sum = 0.0
-
-    def _to_heats(self) -> None:
-        if self.source is not None:
-            values, source = self.source.heat_fraction, self.source
-            self.counts = Counter({
-                tuple(map(values.__getitem__, _heat_ids(source, code))): count
-                for code, count in self.counts.items()
-            })
-            self.source = None
 
     def count_block(self, tables: _SamplerTables, ids: np.ndarray) -> None:
         """Count a block's ``(k, N)`` heat-id rows; every block comes from ``tables``."""
@@ -817,16 +779,8 @@ class _Tally:
         self.n_collisions = tables.n
 
     def count_records(self, records: list[TrajectoryRecord]) -> None:
-        """Count a chunk of records; sampled ones of one model on their codes."""
-        codes = [record.heat_code for record in records]
-        sources = {code and code[0] for code in codes}
-        if not self.seen and len(sources) == 1:
-            (self.source,) = sources  # None for records built by hand
-        if self.source is not None and sources == {self.source}:
-            self.counts.update(map(itemgetter(1), codes))
-        else:
-            self._to_heats()
-            self.counts.update(record.heats for record in records)
+        """Count a chunk of records on their heats."""
+        self.counts.update(record.heats for record in records)
         self.seen += len(records)
         self.n_collisions = len(records[-1].heats)
 
@@ -882,11 +836,9 @@ def empirical_joint(
 ) -> EmpiricalJoint:
     """Frequency estimate with exact keys and per-key standard errors.
 
-    Sampled records of one model are counted on their heat-id codes, and
-    the law comes out in coded form, as from :func:`_sample`: its
-    Fraction-keyed ``entries`` and the ``stderr`` map are built when first
-    touched, in order of first appearance.  Records of several models, or
-    built by hand, are counted on their Fraction keys instead.
+    Records are counted on their exact heats, so equal heat tuples merge
+    whatever their source, and keys come in order of first appearance, as
+    from :func:`_sample`.  The ``stderr`` map is built when first touched.
     """
     tally = _Tally()
     for chunk in _chunks(records):
@@ -901,7 +853,7 @@ def summarize_samples(
 
     Single pass, nothing retained per shot, so arbitrarily long record
     streams can be summarized.  The law is counted as by
-    :func:`empirical_joint`, in coded form for sampled records.
+    :func:`empirical_joint`.
     """
     tally = _Tally()
     for chunk in _chunks(records):
