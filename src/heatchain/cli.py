@@ -43,14 +43,15 @@ from .chain import assert_detailed_balance, realize_model
 from .heatstats import (
     DEFAULT_ENUMERATION_CAP,
     _distribution_json_text,
+    _partial_decomposition,
+    _system_law,
+    _system_layers,
     compare_distributions,
     distribution_to_csv,
     exact_backward_joint,
     exact_forward_joint,
     exact_forward_joint_via_ancilla_paths,
-    single_collision_distribution,
     verify_joint_ft,
-    verify_partial_decomposition,
     verify_product_relation,
 )
 from .model import (
@@ -358,16 +359,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     config, settings = load_model_file(args.model)
     tolerance = args.tolerance if args.tolerance is not None else settings.tolerance
     cap = args.cap if args.cap is not None else settings.enumeration_cap
+    realized = realize_model(config)
     # A reached level of zero initial population has no reversed partner path.
-    _post_states(realize_model(config), "the fluctuation identities are undefined because")
+    _post_states(realized, "the fluctuation identities are undefined because")
 
-    forward = exact_forward_joint(config, cap)
-    backward = exact_backward_joint(config, cap)
+    # Every system-path law is swept off the chain's one realization: a
+    # stage's layer serves both directions and its single collision.
+    layers = _system_layers(realized, realized.stages)
+    forward = _system_law(realized, layers, cap, "forward")
+    backward = _system_law(realized, layers[::-1], cap, "backward")
     via_ancillas = exact_forward_joint_via_ancilla_paths(config, cap)
-    singles = [
-        single_collision_distribution(config, i, cap)
-        for i in range(1, config.n_collisions + 1)
-    ]
+    singles = [_system_law(realized, [layer], cap, "forward") for layer in layers]
 
     route_gap = compare_distributions(forward, via_ancillas)
     checks = [
@@ -384,7 +386,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     ]
     if config.n_collisions >= 2:
         reports.append(
-            ("partial_decomposition", verify_partial_decomposition(config, tolerance, cap))
+            (
+                "partial_decomposition",
+                _partial_decomposition(realized, layers, forward, backward, singles[-1], tolerance, cap),
+            )
         )
     for name, result in reports:
         checks.append(

@@ -29,25 +29,31 @@ appearance.  The public Fraction-keyed ``entries`` dict of such a law is
 built only when a caller first touches it.  Hand-built and parsed laws,
 and empirical laws of mixed or hand-built records, are encoded once, on
 first use, by ranking each distinct Fraction object.  Laws on
-different registries (the single collisions, the truncated chain) are
+different registries (those of other chains, hand-built laws) are
 matched by translating their registries by value.
 
 There are two enumeration routes, run by one numpy layer sweep
 (``_sweep``).  The system-path route steps through the chain of
 per-collision propagators, in collision order for the forward law and
-reversed for the backward one.  The via-ancilla route steps through each
-collision's jumps, read off its jump probabilities through the ``jumps``
-index of its shells (the table the sampler reads too), and reads heats off
-the ancillas.  Paths come out in depth-first order and every weight and
-sum is formed in that order, so the laws are bit-identical to a
-path-by-path loop.  ``_path_blocks`` walks the same layers in the same
-order but yields complete paths in bounded blocks, each with its weight,
-end levels and steps, so a per-path average (the trajectory form of the
-entropy production) needs memory for one block, not for every path.
-Enumeration caps apply to the exact number of nonzero paths, counted by an
-integer dynamic program over system levels before anything is built.  All
-three identity checks share one log-ratio loop, ``_check_log_ratio``, and
-differ only in their right-hand sides.
+reversed for the backward one.  A stage's layer is the same in both
+directions, and a fresh single collision is one layer swept alone, so the
+laws that ``verify`` compares (forward, backward, each single collision,
+and the backward run without the last collision) are swept off one
+realization and one list of layers.  The via-ancilla route steps through
+each collision's jumps, read off its jump probabilities through the
+``jumps`` index of its shells (the table the sampler reads too), and reads
+heats off the ancillas.  Paths come out in depth-first order and every
+weight and sum is formed in that order, so the laws are bit-identical to a
+path-by-path loop.  Paths are grouped by key code in ``_first_occurrence``:
+through a table indexed by code when the codes are dense, by a sort
+otherwise.  ``_path_blocks`` walks the same layers in the same order but
+yields complete paths in bounded blocks, each with its weight, end levels
+and steps, so a per-path average (the trajectory form of the entropy
+production) needs memory for one block, not for every path.  Enumeration
+caps apply to the exact number of nonzero paths, counted by an integer
+dynamic program over system levels before anything is built.  All three
+identity checks share one log-ratio loop, ``_check_log_ratio``, and differ
+only in their right-hand sides.
 
 Text output
 -----------
@@ -75,15 +81,13 @@ from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .chain import RealizedModel, realize_model
+from .chain import CollisionStage, RealizedModel, realize_model
 from .model import (
     EnumerationCapError,
     ModelConfig,
     ModelError,
     format_rational,
     parse_rational,
-    single_collision_model,
-    truncated_model,
 )
 from .unitaries import _shell_index
 
@@ -124,6 +128,7 @@ _CODE_LIMIT = 2**63  # int64 key codes stay below this
 _EXPORT_BLOCK_ROWS = 512  # keys per block of exported text
 _RUN_CELLS = 256  # most cells in a table of list runs (see _list_tables)
 _BLOCK_PATHS = 2**14  # paths per frontier expansion in _path_blocks
+_DENSE_CODES = 8  # _first_occurrence groups through a code table up to this many codes per element
 
 
 class _Codes(NamedTuple):
@@ -246,16 +251,31 @@ def _push_digit(
     return code, bound * radix
 
 
-def _row_codes(ids: np.ndarray, radix: int) -> np.ndarray:
-    """One int64 per row, equal exactly when the rows are equal."""
+def _row_codes(ids: np.ndarray, radix: int) -> tuple[np.ndarray, int]:
+    """One int64 per row, equal exactly when the rows are equal, and a bound on the codes."""
     code, bound = np.zeros(len(ids), dtype=np.int64), 1
     for column in ids.T:
         code, bound = _push_digit(code, bound, radix, column)
-    return code
+    return code, bound
 
 
-def _first_occurrence(code: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Group of each element, numbered in order of first occurrence, and each group's first element."""
+def _first_occurrence(code: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """Group of each element, numbered in order of first occurrence, and each group's first element.
+
+    Codes lie in ``[0, bound)``.  When the bound is at most ``_DENSE_CODES``
+    per element, a table indexed by code takes each code's first element
+    (``np.minimum.at``) and only the distinct codes are sorted, by first
+    element; otherwise the elements are sorted by code.  Both give the same
+    groups, numbered the same way.
+    """
+    if bound <= _DENSE_CODES * len(code):
+        table = np.full(bound, len(code), dtype=np.intp)
+        np.minimum.at(table, code, np.arange(len(code)))
+        keys = np.flatnonzero(table < len(code))
+        first = table[keys]
+        order = np.argsort(first)
+        table[keys[order]] = np.arange(len(keys))
+        return table[code], first[order]
     keys, first = np.unique(code, return_index=True)
     order = np.argsort(first)
     rank = np.empty_like(order)
@@ -267,7 +287,7 @@ def _lookup(rows: np.ndarray, table: np.ndarray, radix: int) -> np.ndarray:
     """Index of each of ``rows`` among the (distinct) rows of ``table``, or -1."""
     if rows.shape[1] != table.shape[1] or not len(table):
         return np.full(len(rows), -1)
-    codes = _row_codes(np.concatenate([rows, table]), radix)
+    codes, _ = _row_codes(np.concatenate([rows, table]), radix)
     probe, keys = codes[: len(rows)], codes[len(rows) :]
     order = np.argsort(keys)
     at = np.minimum(np.searchsorted(keys[order], probe), len(keys) - 1)
@@ -325,9 +345,12 @@ class _Layer(NamedTuple):
     moves: list[tuple[int, int]]  # ancilla (n, n') per step; empty on system routes
 
 
-def _system_layers(realized: RealizedModel, direction: str) -> list[_Layer]:
-    """Propagator columns, in collision order or reversed; a step drops ``a -> b``."""
-    stages = realized.stages if direction == "forward" else realized.stages[::-1]
+def _system_layers(realized: RealizedModel, stages: Sequence[CollisionStage]) -> list[_Layer]:
+    """The propagator columns of ``stages``, in the order given; a step drops ``a -> b``.
+
+    A stage's layer is the same in both directions, so a backward sweep
+    reads the forward layers reversed.
+    """
     heat = realized.system_heat_ids
     layers = []
     for stage in stages:
@@ -481,7 +504,7 @@ def _sweep(realized: RealizedModel, layers: list[_Layer], direction: str) -> Joi
         trail.append((parent, heat))
     del step, level  # before the grouping below, which peaks in memory
 
-    group, first = _first_occurrence(code)
+    group, first = _first_occurrence(code, bound)
     masses = np.bincount(group, weights=weight, minlength=len(first))
     ids = np.empty((len(first), len(layers)), dtype=_id_dtype(len(values)))
     path = first
@@ -497,12 +520,19 @@ def _sweep(realized: RealizedModel, layers: list[_Layer], direction: str) -> Joi
     return _coded_law(_Codes(values, ids, masses), direction, len(layers), pruned)
 
 
+def _system_law(
+    realized: RealizedModel, layers: list[_Layer], cap: int, direction: str
+) -> JointHeatDistribution:
+    """The law of the system paths through ``layers``, once they fit within ``cap``."""
+    _check_cap(realized, layers, cap, "system-path")
+    return _sweep(realized, layers, direction)
+
+
 def _exact_joint(model: ModelConfig, cap: int, direction: str) -> JointHeatDistribution:
     """Enumerate every system path, with the stages in collision order or reversed."""
     realized = realize_model(model)
-    layers = _system_layers(realized, direction)
-    _check_cap(realized, layers, cap, "system-path")
-    return _sweep(realized, layers, direction)
+    stages = realized.stages if direction == "forward" else realized.stages[::-1]
+    return _system_law(realized, _system_layers(realized, stages), cap, direction)
 
 
 def exact_forward_joint(
@@ -582,7 +612,7 @@ def marginalize(
             raise ValueError(f"coordinates {coords} out of range for N={dist.n_collisions}")
     values, ids, masses = _codes(dist)
     kept = ids[:, list(coords)]
-    group, first = _first_occurrence(_row_codes(kept, len(values)))
+    group, first = _first_occurrence(*_row_codes(kept, len(values)))
     reduced = np.bincount(group, weights=masses, minlength=len(first))
     return _coded_law(
         _Codes(values, kept[first], reduced), dist.direction, len(coords), dist.pruned_mass
@@ -596,8 +626,14 @@ def single_collision_distribution(
 
     This is a new process (system rethermalized, one collision), not a
     marginal of the joint distribution; the two only coincide for i = 1.
+    It is swept over stage ``i`` of the chain's own realization, which
+    realizes the blocks of ``single_collision_model(model, i)`` bit for
+    bit, and keyed on the chain's registry.
     """
-    return exact_forward_joint(single_collision_model(model, i), cap)
+    if not 1 <= i <= model.n_collisions:
+        raise ValueError(f"collision index {i} out of range 1..{model.n_collisions}")
+    realized = realize_model(model)
+    return _system_law(realized, _system_layers(realized, realized.stages[i - 1 : i]), cap, "forward")
 
 
 @dataclass(frozen=True)
@@ -751,16 +787,38 @@ def verify_partial_decomposition(
     (forward prefix marginal against the backward run of the truncated
     chain) times the single-collision ratio of the last ancilla.  The
     analogous statement for dropping the *first* collision is false; see
-    the causal-asymmetry tests.
+    the causal-asymmetry tests.  Every law is read off one realization of
+    the chain: see :func:`_partial_decomposition`.
     """
-    n = model.n_collisions
-    if n < 2:
+    if model.n_collisions < 2:
         raise ValueError("partial decomposition needs at least two collisions")
-    forward = exact_forward_joint(model, cap)
-    backward = exact_backward_joint(model, cap)
-    prefix_fwd = marginalize(forward, n - 1)
-    prefix_bwd = exact_backward_joint(truncated_model(model, n - 1), cap)
-    last_single = single_collision_distribution(model, n, cap)
+    realized = realize_model(model)
+    layers = _system_layers(realized, realized.stages)
+    forward = _system_law(realized, layers, cap, "forward")
+    backward = _system_law(realized, layers[::-1], cap, "backward")
+    last_single = _system_law(realized, layers[-1:], cap, "forward")
+    return _partial_decomposition(realized, layers, forward, backward, last_single, tolerance, cap)
+
+
+def _partial_decomposition(
+    realized: RealizedModel,
+    layers: list[_Layer],
+    forward: JointHeatDistribution,
+    backward: JointHeatDistribution,
+    last_single: JointHeatDistribution,
+    tolerance: float,
+    cap: int,
+) -> FTReport:
+    """:func:`verify_partial_decomposition` on laws already swept off ``layers``.
+
+    ``layers`` are the chain's system layers in collision order, and
+    ``forward``, ``backward`` and ``last_single`` its laws swept over all of
+    them, reversed, and over the last alone.  The one law left to sweep is
+    the backward run of the chain without its last collision: the layers
+    of stages ``N-1 .. 1``, which the truncated chain realizes bit for bit.
+    """
+    prefix_fwd = marginalize(forward, len(layers) - 1)
+    prefix_bwd = _system_law(realized, layers[-2::-1], cap, "backward")
 
     values, (fwd, bwd, head_fwd, head_bwd, last) = _shared(
         forward, backward, prefix_fwd, prefix_bwd, last_single

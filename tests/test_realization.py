@@ -354,6 +354,10 @@ def test_sub_models_realize_the_full_chains_haar_blocks():
         for other in (single, truncated[-1]):
             for block, want in zip(other.unitary.blocks, stage.unitary.blocks, strict=True):
                 assert same(block, want)
+            # verify sweeps sub-model laws off the chain's own stages.
+            for probs, want in zip(other.tensor.probs, stage.tensor.probs, strict=True):
+                assert same(probs, want)
+            assert same(other.propagator.matrix, stage.propagator.matrix)
 
 
 # ---------------------------------------------------------------------------

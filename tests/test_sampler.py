@@ -595,8 +595,8 @@ class TestVectorizedChecks:
 
 class TestMixedRecordStreams:
     def test_counts_merge_across_models_and_hand_built_records(self):
-        # Hand-built and replaced records carry no heat code; they must be
-        # counted on their own heats, merged with equal sampled keys.
+        # Every record is counted on its own heats, so hand-built and
+        # replaced records merge with equal sampled keys.
         first = list(iter_trajectories(resonant_model([0.5, 2.5]), SamplerConfig(300, 1)))
         second = list(iter_trajectories(resonant_model([1.5, 0.7]), SamplerConfig(200, 2)))
         by_hand = [
