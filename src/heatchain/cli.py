@@ -128,6 +128,8 @@ def _complex_matrix(raw: object, path: str) -> list[list[complex]]:
     for r, row in enumerate(raw):
         if not isinstance(row, list):
             raise _fail(f"{path}[{r}]", "expected a list of [re, im] pairs")
+        if len(row) != len(raw[0]):
+            raise _fail(f"{path}[{r}]", f"has {len(row)} entries, row 0 has {len(raw[0])}")
         entries = []
         for c, cell in enumerate(row):
             if (
@@ -149,7 +151,10 @@ def _unitary(raw: object, path: str) -> UnitarySpec:
         tag = raw.get("stream_tag")
         if tag is not None and (isinstance(tag, bool) or not isinstance(tag, int)):
             raise _fail(f"{path}.stream_tag", "expected an integer")
-        return UnitarySpec.haar(stream_tag=tag)
+        try:
+            return UnitarySpec.haar(stream_tag=tag)
+        except ModelError as exc:
+            raise _fail(f"{path}.stream_tag", str(exc)) from None
     if kind == "partial_swap":
         if "theta" not in raw:
             raise _fail(f"{path}.theta", "partial_swap requires an angle")
@@ -170,7 +175,10 @@ def _unitary(raw: object, path: str) -> UnitarySpec:
         shift = raw.get("shift", 0)
         if isinstance(shift, bool) or not isinstance(shift, int):
             raise _fail(f"{path}.shift", "expected an integer")
-        return UnitarySpec.permutation(cycles=cycles, shift=shift)
+        try:
+            return UnitarySpec.permutation(cycles=cycles, shift=shift)
+        except ModelError as exc:
+            raise _fail(f"{path}.cycles", str(exc)) from None
     if kind == "explicit":
         blocks_raw = raw.get("blocks")
         if not isinstance(blocks_raw, Mapping) or not blocks_raw:
@@ -385,10 +393,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         ("product_relation", verify_product_relation(forward, backward, singles, tolerance)),
     ]
     if config.n_collisions >= 2:
+        # The backward law of the chain without its last collision: stages N-1 .. 1.
+        shorter_backward = _system_law(realized, layers[-2::-1], cap, "backward")
         reports.append(
             (
                 "partial_decomposition",
-                _partial_decomposition(realized, layers, forward, backward, singles[-1], tolerance, cap),
+                _partial_decomposition(forward, backward, singles[-1], shorter_backward, tolerance),
             )
         )
     for name, result in reports:

@@ -787,8 +787,9 @@ def verify_partial_decomposition(
     (forward prefix marginal against the backward run of the truncated
     chain) times the single-collision ratio of the last ancilla.  The
     analogous statement for dropping the *first* collision is false; see
-    the causal-asymmetry tests.  Every law is read off one realization of
-    the chain: see :func:`_partial_decomposition`.
+    the causal-asymmetry tests.  Every law is swept off one realization of
+    the chain, the truncated backward law last, over stages ``N-1 .. 1``,
+    which the truncated chain realizes bit for bit.
     """
     if model.n_collisions < 2:
         raise ValueError("partial decomposition needs at least two collisions")
@@ -797,44 +798,39 @@ def verify_partial_decomposition(
     forward = _system_law(realized, layers, cap, "forward")
     backward = _system_law(realized, layers[::-1], cap, "backward")
     last_single = _system_law(realized, layers[-1:], cap, "forward")
-    return _partial_decomposition(realized, layers, forward, backward, last_single, tolerance, cap)
+    shorter_backward = _system_law(realized, layers[-2::-1], cap, "backward")
+    return _partial_decomposition(forward, backward, last_single, shorter_backward, tolerance)
 
 
 def _partial_decomposition(
-    realized: RealizedModel,
-    layers: list[_Layer],
     forward: JointHeatDistribution,
     backward: JointHeatDistribution,
     last_single: JointHeatDistribution,
+    shorter_backward: JointHeatDistribution,
     tolerance: float,
-    cap: int,
 ) -> FTReport:
-    """:func:`verify_partial_decomposition` on laws already swept off ``layers``.
+    """:func:`verify_partial_decomposition` on the laws it compares.
 
-    ``layers`` are the chain's system layers in collision order, and
-    ``forward``, ``backward`` and ``last_single`` its laws swept over all of
-    them, reversed, and over the last alone.  The one law left to sweep is
-    the backward run of the chain without its last collision: the layers
-    of stages ``N-1 .. 1``, which the truncated chain realizes bit for bit.
+    The forward prefix law is read off ``forward``: its masses summed over
+    the keys' first ``N-1`` heats, in key order, as :func:`marginalize`
+    sums them.  ``shorter_backward`` is the backward law of the chain
+    without its last collision.
     """
-    prefix_fwd = marginalize(forward, len(layers) - 1)
-    prefix_bwd = _system_law(realized, layers[-2::-1], cap, "backward")
-
-    values, (fwd, bwd, head_fwd, head_bwd, last) = _shared(
-        forward, backward, prefix_fwd, prefix_bwd, last_single
-    )
+    values, (fwd, bwd, head_bwd, last) = _shared(forward, backward, shorter_backward, last_single)
     radix = len(values)
     head = fwd[:, :-1]
-    p_head = _masses_at(_codes(prefix_fwd).masses, _lookup(head, head_fwd, radix))
+    masses = _codes(forward).masses
+    group, first = _first_occurrence(*_row_codes(head, radix))
+    p_head = np.bincount(group, weights=masses, minlength=len(first))[group]
     p_head_bwd = _masses_at(
-        _codes(prefix_bwd).masses, _lookup(_negated_reversed(head, radix), head_bwd, radix)
+        _codes(shorter_backward).masses, _lookup(_negated_reversed(head, radix), head_bwd, radix)
     )
     ratio, support = _flip_log_ratio(values, last, _codes(last_single).masses)
     supported = (p_head != 0.0) & (p_head_bwd != 0.0) & support[fwd[:, -1]]
     prefix_ratio = np.zeros(len(fwd))
     prefix_ratio[supported] = _logs(p_head[supported]) - _logs(p_head_bwd[supported])
     return _check_log_ratio(
-        values, fwd, _codes(forward).masses, bwd, _codes(backward).masses,
+        values, fwd, masses, bwd, _codes(backward).masses,
         (prefix_ratio, ratio[fwd[:, -1]]), supported, tolerance,
     )
 

@@ -92,6 +92,10 @@ class Spectrum:
                 raise ModelError(
                     f"degenerate spectrum: level {format_rational(lo)} appears twice"
                 )
+        try:  # the ends hold the largest magnitudes
+            float(ordered[0]), float(ordered[-1])
+        except OverflowError:
+            raise ModelError("an energy level is too large for a float") from None
         object.__setattr__(self, "levels", ordered)
         # Spectra key the realization caches, and a Fraction hashes slowly.
         object.__setattr__(self, "_hash", hash((ordered,)))

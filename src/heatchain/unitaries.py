@@ -19,6 +19,7 @@ shell, and many collisions' rows as one stacked array, which is how
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -168,6 +169,8 @@ class UnitarySpec:
             )
         if self.kind == "partial_swap" and not math.isfinite(self.theta):
             raise ModelError("partial_swap angle must be finite")
+        if self.stream_tag is not None and self.stream_tag < 0:
+            raise ModelError(f"stream_tag must be at least 0, got {self.stream_tag}")
 
     @classmethod
     def haar(cls, stream_tag: int | None = None) -> "UnitarySpec":
@@ -183,15 +186,18 @@ class UnitarySpec:
         cycles: Mapping[object, Sequence[Sequence[int]]] | None = None,
         shift: int = 0,
     ) -> "UnitarySpec":
-        packed = ()
-        if cycles:
-            packed = tuple(
-                sorted(
-                    (parse_rational(total), tuple(tuple(int(i) for i in cyc) for cyc in cycs))
-                    for total, cycs in cycles.items()
-                )
-            )
-        return cls(kind="permutation", cycles=packed, shift=int(shift))
+        packed = []
+        for total, cycs in (cycles or {}).items():
+            total = parse_rational(total)
+            try:
+                # index(), unlike int(), refuses the floats and strings it would truncate or parse.
+                packed.append((total, tuple(tuple(map(operator.index, cyc)) for cyc in cycs)))
+            except TypeError:
+                raise ModelError(
+                    f"cycles at total energy {format_rational(total)} must be lists of "
+                    "integer member indices"
+                ) from None
+        return cls(kind="permutation", cycles=tuple(sorted(packed)), shift=int(shift))
 
     @classmethod
     def explicit(cls, blocks: Mapping[object, Sequence[Sequence[complex]]]) -> "UnitarySpec":

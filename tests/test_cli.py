@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from heatchain import ModelError, distribution_from_json
+from heatchain import ModelError, Spectrum, UnitarySpec, distribution_from_json
 from heatchain.cli import dispatch, load_model_file, parse_model
 from test_coded_laws import ZERO_POPULATIONS
 
@@ -328,6 +328,69 @@ class TestDispatch:
         path = write_model(tmp_path, {**CHAIN_DOCUMENT, "tolerance": -1e-9})
         assert dispatch([command, str(path)]) == 2
         assert "error: tolerance: must be at least 0" in capsys.readouterr().err
+
+
+def qubit_pair(unitary, system_energies=("0", "1")):
+    """A one-collision qubit document with the given ancilla unitary."""
+    return {
+        "system": {"energies": list(system_energies), "beta": 1.0},
+        "ancillas": [{"energies": ["0", "1"], "beta": 2.0, "unitary": unitary}],
+    }
+
+
+def permutation(cycles):
+    return qubit_pair({"kind": "permutation", "cycles": cycles})
+
+
+CYCLES = "ancillas[0].unitary.cycles"
+
+
+@pytest.mark.parametrize(
+    "document, path, library_call",
+    [
+        pytest.param(permutation({"2": 5}), CYCLES, lambda: UnitarySpec.permutation({"2": 5}), id="cycles-int"),
+        pytest.param(permutation({"2": None}), CYCLES, lambda: UnitarySpec.permutation({"2": None}), id="cycles-null"),
+        pytest.param(permutation({"2": [5]}), CYCLES, lambda: UnitarySpec.permutation({"2": [5]}), id="cycle-int"),
+        pytest.param(permutation({"2": [["a"]]}), CYCLES, lambda: UnitarySpec.permutation({"2": [["a"]]}), id="index-str"),
+        # Shell 1 has two members, and int() truncated this to the swap [[0, 1]].
+        pytest.param(
+            permutation({"1": [[0.5, 1]]}), CYCLES, lambda: UnitarySpec.permutation({"1": [[0.5, 1]]}), id="index-float"
+        ),
+        pytest.param(
+            qubit_pair({"kind": "explicit", "blocks": {"2": [[[1, 0]], [[0, 0], [1, 0]]]}}),
+            "ancillas[0].unitary.blocks[2][1]",
+            None,
+            id="ragged-block",
+        ),
+        pytest.param(
+            qubit_pair({"kind": "identity"}, ["0", "1e400"]),
+            "system.energies",
+            lambda: Spectrum.from_values(["0", "1e400"]),
+            id="energy-overflow-str",
+        ),
+        pytest.param(
+            qubit_pair({"kind": "identity"}, ["0", 10**400]),
+            "system.energies",
+            lambda: Spectrum.from_values([0, 10**400]),
+            id="energy-overflow-int",
+        ),
+        pytest.param(
+            qubit_pair({"kind": "haar", "stream_tag": -5}),
+            "ancillas[0].unitary.stream_tag",
+            lambda: UnitarySpec.haar(-5),
+            id="negative-stream-tag",
+        ),
+    ],
+)
+def test_malformed_document_exits_2_naming_its_path(tmp_path, capsys, document, path, library_call):
+    model = write_model(tmp_path, document)
+    assert dispatch(["validate", str(model)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    if library_call is not None:
+        with pytest.raises(ModelError):
+            library_call()
 
 
 def test_entropy_on_zero_population_level_exits_2(tmp_path, capsys):

@@ -259,6 +259,21 @@ def reference_partial(model: ModelConfig, tolerance=1e-9) -> FTReport:
     return reference_check(forward, backward, rhs, tolerance)
 
 
+def reference_peel_off(forward, backward, last_single, shorter_backward, tolerance=1e-9) -> FTReport:
+    """The peel-off check on given laws; the forward prefix is summed off ``forward``."""
+    prefix_fwd = reference_marginalize(forward, range(forward.n_collisions - 1))
+
+    def rhs(key):
+        head, q = key[:-1], key[-1]
+        fwd, bwd = prefix_fwd.get(head, 0.0), shorter_backward.entries.get(negated(head), 0.0)
+        plus, minus = last_single.entries.get((q,), 0.0), last_single.entries.get((-q,), 0.0)
+        if 0.0 in (fwd, bwd, plus, minus):
+            return None
+        return (math.log(fwd) - math.log(bwd), math.log(plus) - math.log(minus))
+
+    return reference_check(forward, backward, rhs, tolerance)
+
+
 def reference_csv(dist: JointHeatDistribution) -> str:
     n = dist.n_collisions
     header = [f"Q_{i}" for i in range(1, n + 1)] + ["probability"]
@@ -536,6 +551,37 @@ def test_hand_built_checks_match_reference(case):
         (abs(forward.probability(k) - backward.probability(k))
          for k in set(forward.entries) | set(backward.entries)),
         default=0.0,
+    )
+
+
+@st.composite
+def peel_off_laws(draw, n: int) -> tuple[JointHeatDistribution, ...]:
+    """Forward, backward, last-single and shorter backward laws, drawn by ``hand_laws``.
+
+    Drawn keys rarely meet their partners, so each law but the forward one
+    also takes most of the partners the check looks up for forward keys, at
+    a mass drawn as ``hand_laws`` draws it.
+    """
+    forward = draw(hand_laws(n))
+    keys = list(forward.entries)
+
+    def partnered(law, partners):
+        masses = NEAR_FLOOR + ((0.0,) if law.direction == "backward" else ())
+        extra = {key: draw(st.sampled_from(masses)) for key in partners if draw(st.integers(0, 3))}
+        return JointHeatDistribution({**law.entries, **extra}, law.direction, law.n_collisions)
+
+    return (
+        forward,
+        partnered(draw(hand_laws(n, "backward")), [negated(key) for key in keys]),
+        partnered(draw(hand_laws(1)), [(sign * key[-1],) for key in keys for sign in (1, -1)]),
+        partnered(draw(hand_laws(n - 1, "backward")), [negated(key[:-1]) for key in keys]),
+    )
+
+
+@given(st.integers(2, 3).flatmap(peel_off_laws))
+def test_hand_built_peel_off_matches_reference(laws):
+    assert report_bits(heatstats._partial_decomposition(*laws, 1e-9)) == report_bits(
+        reference_peel_off(*laws)
     )
 
 
