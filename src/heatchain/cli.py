@@ -26,6 +26,9 @@ Exit codes: 0 all requested checks passed, 1 a check failed, 2 unusable
 input or usage error.  Reports and exports are byte-identical across runs
 with the same document, seed and worker count; wall-clock time is printed
 separately and never written into them.
+
+The argument parser is built once, at import; every ``dispatch`` in the
+process parses with that one parser.
 """
 
 from __future__ import annotations
@@ -48,8 +51,6 @@ from .heatstats import (
     _system_layers,
     compare_distributions,
     distribution_to_csv,
-    exact_backward_joint,
-    exact_forward_joint,
     exact_forward_joint_via_ancilla_paths,
     verify_joint_ft,
     verify_product_relation,
@@ -190,7 +191,10 @@ def _unitary(raw: object, path: str) -> UnitarySpec:
             except ModelError as exc:
                 raise _fail(f"{path}.blocks", str(exc)) from None
             blocks[key] = _complex_matrix(mat, f"{path}.blocks[{total}]")
-        return UnitarySpec.explicit(blocks)
+        try:
+            return UnitarySpec.explicit(blocks)
+        except ModelError as exc:
+            raise _fail(f"{path}.blocks", str(exc)) from None
     if kind == "identity":
         return UnitarySpec.identity()
     raise _fail(f"{path}.kind", f"unknown unitary kind {kind!r}")
@@ -345,8 +349,11 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_exact(args: argparse.Namespace) -> int:
     config, settings = load_model_file(args.model)
     cap = args.cap if args.cap is not None else settings.enumeration_cap
-    forward = exact_forward_joint(config, cap)
-    backward = exact_backward_joint(config, cap)
+    realized = realize_model(config)
+    # A stage's layer serves both directions: backward reads the list reversed.
+    layers = _system_layers(realized, realized.stages)
+    forward = _system_law(realized, layers, cap, "forward")
+    backward = _system_law(realized, layers[::-1], cap, "backward")
     for dist in (forward, backward):
         print(
             f"{dist.direction}: {len(dist)} heat tuples, mass {dist.total_mass():.12f}, "
@@ -544,11 +551,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def dispatch(argv: Sequence[str] | None = None) -> int:
     """Run one command line; returns the exit code instead of exiting."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     started = time.perf_counter()

@@ -19,6 +19,7 @@ shell, and many collisions' rows as one stacked array, which is how
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -171,6 +172,13 @@ class UnitarySpec:
             raise ModelError("partial_swap angle must be finite")
         if self.stream_tag is not None and self.stream_tag < 0:
             raise ModelError(f"stream_tag must be at least 0, got {self.stream_tag}")
+        for total, mat in self.blocks:
+            for r, row in enumerate(mat):
+                if len(row) != len(mat):
+                    raise ModelError(
+                        f"explicit block at total energy {format_rational(total)} must be "
+                        f"square: row {r} has {len(row)} entries, the block has {len(mat)} rows"
+                    )
 
     @classmethod
     def haar(cls, stream_tag: int | None = None) -> "UnitarySpec":
@@ -190,13 +198,18 @@ class UnitarySpec:
         for total, cycs in (cycles or {}).items():
             total = parse_rational(total)
             try:
-                # index(), unlike int(), refuses the floats and strings it would truncate or parse.
+                # index(), unlike int(), refuses the floats and strings it would
+                # truncate or parse; booleans pass index() and are refused here.
                 packed.append((total, tuple(tuple(map(operator.index, cyc)) for cyc in cycs)))
+                if any(isinstance(v, bool) for cyc in cycs for v in cyc):
+                    raise TypeError
             except TypeError:
                 raise ModelError(
                     f"cycles at total energy {format_rational(total)} must be lists of "
                     "integer member indices"
                 ) from None
+        if isinstance(shift, bool) or not isinstance(shift, numbers.Integral):
+            raise ModelError(f"permutation shift must be an integer, got {shift!r}")
         return cls(kind="permutation", cycles=tuple(sorted(packed)), shift=int(shift))
 
     @classmethod

@@ -7,6 +7,7 @@ the sub-model realized on its own (``single_collision_model``,
 ``truncated_model``), and each must be capped on its own path count.
 Paths are grouped by key in ``_first_occurrence``, through a code table
 or by a sort; both must number the groups as a first-occurrence dict does.
+``exact`` sweeps its two laws off one list of the chain's layers.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from heatchain import (
     truncated_model,
     verify_partial_decomposition,
 )
-from heatchain import chain, heatstats
+from heatchain import chain, cli, distribution_to_csv, heatstats
 from heatchain.cli import dispatch
 from heatchain.unitaries import UnitarySpec
 
@@ -143,6 +144,22 @@ def test_single_collision_index_out_of_range():
             single_collision_distribution(model, i)
 
 
+TWO_SPECTRUM_DOCUMENT = {
+    "system": {"energies": ["0", "1"], "beta": 0.9},
+    "ancillas": [
+        {"energies": levels, "beta": beta, "unitary": {"kind": "partial_swap", "theta": theta}}
+        for levels, beta, theta in [
+            (["0", "1"], 0.7, 0.9),
+            (["1/2", "3/2"], 1.4, 0.3),
+            (["0", "1"], 1.1, 0.4),
+            (["1/2", "3/2"], 0.5, 1.3),
+            (["0", "1"], 1.2, 0.8),
+        ]
+    ],
+    "master_seed": 3,
+}
+
+
 def test_verify_realizes_the_chain_once(monkeypatch, tmp_path):
     # N + 4 sweeps: forward, backward, via ancillas, N singles and the
     # truncated backward law; shells once per ancilla spectrum.
@@ -160,20 +177,7 @@ def test_verify_realizes_the_chain_once(monkeypatch, tmp_path):
     monkeypatch.setattr(chain, "build_energy_shells", counted_shells)
     monkeypatch.setattr(heatstats, "_sweep", counted_sweep)
     path = tmp_path / "two.json"
-    path.write_text(json.dumps({
-        "system": {"energies": ["0", "1"], "beta": 0.9},
-        "ancillas": [
-            {"energies": levels, "beta": beta, "unitary": {"kind": "partial_swap", "theta": theta}}
-            for levels, beta, theta in [
-                (["0", "1"], 0.7, 0.9),
-                (["1/2", "3/2"], 1.4, 0.3),
-                (["0", "1"], 1.1, 0.4),
-                (["1/2", "3/2"], 0.5, 1.3),
-                (["0", "1"], 1.2, 0.8),
-            ]
-        ],
-        "master_seed": 3,
-    }), encoding="utf-8")
+    path.write_text(json.dumps(TWO_SPECTRUM_DOCUMENT), encoding="utf-8")
     realize_model.cache_clear()
     try:
         assert dispatch(["verify", str(path)]) == 0
@@ -183,6 +187,50 @@ def test_verify_realizes_the_chain_once(monkeypatch, tmp_path):
         spectrum("0", "1"), spectrum("1/2", "3/2")
     ]
     assert sweeps == ["forward", "backward", "forward"] + ["forward"] * 5 + ["backward"]
+
+
+def test_exact_builds_the_chain_layers_once(monkeypatch, tmp_path):
+    # One list of system layers: forward reads it in order, backward reversed.
+    built, sweeps = [], []
+    layers_of, sweep = heatstats._system_layers, heatstats._sweep
+
+    def counted_layers(realized, stages):
+        built.append([stage.index for stage in stages])
+        return layers_of(realized, stages)
+
+    def counted_sweep(*args):
+        sweeps.append(args[2])
+        return sweep(*args)
+
+    monkeypatch.setattr(heatstats, "_system_layers", counted_layers)
+    monkeypatch.setattr(cli, "_system_layers", counted_layers)
+    monkeypatch.setattr(heatstats, "_sweep", counted_sweep)
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps(TWO_SPECTRUM_DOCUMENT), encoding="utf-8")
+    assert dispatch(["exact", str(path), "--out", str(tmp_path / "laws.csv")]) == 0
+    assert built == [[1, 2, 3, 4, 5]]
+    assert sweeps == ["forward", "backward"]
+    model = cli.parse_model(TWO_SPECTRUM_DOCUMENT)
+    assert (tmp_path / "laws.csv").read_text() == distribution_to_csv(exact_forward_joint(model), True)
+    assert (tmp_path / "laws.backward.csv").read_text() == distribution_to_csv(
+        exact_backward_joint(model), True
+    )
+
+
+def test_exact_cap_one_below_the_forward_paths_exits_2(tmp_path, capsys):
+    # Paths with no zero factor, counted on the propagators' sparsity alone.
+    realized = realize_model(cli.parse_model(TWO_SPECTRUM_DOCUMENT))
+    counts = (realized.system_state.populations > 0.0).astype(np.int64)
+    for stage in realized.stages:
+        counts = (stage.propagator.matrix != 0.0).astype(np.int64) @ counts
+    paths = int(counts.sum())
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps(TWO_SPECTRUM_DOCUMENT), encoding="utf-8")
+    assert dispatch(["exact", str(path), "--cap", str(paths - 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: system-path enumeration needs {paths} paths, cap is {paths - 1}\n"
+    assert dispatch(["exact", str(path), "--cap", str(paths), "--out", str(tmp_path / "laws.csv")]) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 import json
 import math
+import re
 from fractions import Fraction
 
 import pytest
 
 from heatchain import ModelError, Spectrum, UnitarySpec, distribution_from_json
+from heatchain import cli
 from heatchain.cli import dispatch, load_model_file, parse_model
 from test_coded_laws import ZERO_POPULATIONS
 
@@ -356,11 +358,22 @@ CYCLES = "ancillas[0].unitary.cycles"
         pytest.param(
             permutation({"1": [[0.5, 1]]}), CYCLES, lambda: UnitarySpec.permutation({"1": [[0.5, 1]]}), id="index-float"
         ),
+        # index() takes True as 1, so this loaded as the swap [[1, 0]].
+        pytest.param(
+            permutation({"1": [[True, False]]}), CYCLES, lambda: UnitarySpec.permutation({"1": [[True, False]]}),
+            id="index-bool",
+        ),
         pytest.param(
             qubit_pair({"kind": "explicit", "blocks": {"2": [[[1, 0]], [[0, 0], [1, 0]]]}}),
             "ancillas[0].unitary.blocks[2][1]",
-            None,
+            lambda: UnitarySpec.explicit({"2": [[1], [0, 1]]}),
             id="ragged-block",
+        ),
+        pytest.param(
+            qubit_pair({"kind": "explicit", "blocks": {"1": [[[1, 0], [0, 0]]]}}),
+            "ancillas[0].unitary.blocks",
+            lambda: UnitarySpec.explicit({"1": [[1, 0]]}),
+            id="rectangular-block",
         ),
         pytest.param(
             qubit_pair({"kind": "identity"}, ["0", "1e400"]),
@@ -482,3 +495,53 @@ def test_verify_passes_when_zero_population_levels_are_never_reached(tmp_path, c
     out = capsys.readouterr().out
     assert out.count(": pass (") == 4
     assert "FAIL" not in out
+
+
+# ---------------------------------------------------------------------------
+# One parser, built at import, serves every dispatch in the process.
+
+
+def refuse_to_build():
+    raise AssertionError("dispatch built a parser")
+
+
+def test_dispatch_parses_with_the_parser_built_at_import(monkeypatch, tmp_path):
+    monkeypatch.setattr(cli, "_build_parser", refuse_to_build)
+    path = write_model(tmp_path, CHAIN_DOCUMENT)
+    assert dispatch(["validate", str(path)]) == 0
+    assert dispatch(["exact", str(path), "--out", str(tmp_path / "laws.csv")]) == 0
+    assert (tmp_path / "laws.backward.csv").is_file()
+
+
+def test_one_parser_answers_a_sequence_as_fresh_parsers_do(monkeypatch, tmp_path, capsys):
+    path = str(write_model(tmp_path, CHAIN_DOCUMENT))
+    argvs = [
+        ["sample", path, "--shots", "50", "--seed", "5"],
+        ["sample", path, "--shots", "50"],  # no --seed: the document's master_seed, 7
+        ["exact", path, "--format", "json"],
+        ["exact", path],  # the default format, CSV
+        ["--help"],
+        ["anneal", path],
+        ["sample", path, "--shots", "0"],
+    ]
+
+    def run(argv):
+        code = dispatch(argv)
+        out, err = capsys.readouterr()
+        return code, re.sub(r"(?m)^elapsed: \d+\.\d{3}s$", "elapsed: -", out), err
+
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", refuse_to_build)
+    shared = [run(argv) for argv in argvs]
+    fresh = []
+    for argv in argvs:
+        monkeypatch.setattr(cli, "_PARSER", build())
+        fresh.append(run(argv))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 0, 0, 0, 0, 2, 2]
+    assert "with seed 5 " in shared[0][1] and "with seed 7 " in shared[1][1]
+    assert "# forward\n{" in shared[2][1] and "# backward\n{" in shared[2][1]
+    assert "# forward\n{" not in shared[3][1] and "{" not in shared[3][1]
+    assert shared[4][1].startswith("usage: heatchain ")
+    assert "invalid choice: 'anneal'" in shared[5][2]
+    assert "error: argument --shots: must be at least 1" in shared[6][2]

@@ -1,4 +1,4 @@
-"""``python -m heatchain.cli`` runs the command line, with its exit codes."""
+"""``python -m heatchain.cli`` and ``python -m heatchain`` run the command line, with its exit codes."""
 
 from __future__ import annotations
 
@@ -10,13 +10,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_cli(*args: str, cwd: Path) -> subprocess.CompletedProcess:
+def run_cli(*args: str, cwd: Path, module: str = "heatchain.cli") -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
     return subprocess.run(
-        [sys.executable, "-m", "heatchain.cli", *args],
+        [sys.executable, "-m", module, *args],
         cwd=cwd,
         env=env,
         capture_output=True,
@@ -41,3 +41,19 @@ def test_validate_resonant_chain_exits_0(tmp_path):
         for check in ("unitarity", "detailed_balance")
     ]
     assert elapsed.startswith("elapsed: ")
+
+
+def test_package_entry_help_exits_0(tmp_path):
+    result = run_cli("--help", cwd=tmp_path, module="heatchain")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("usage: heatchain ")
+    assert "{validate,exact,verify,sample,entropy}" in result.stdout
+    assert result.stderr == ""
+
+
+def test_package_entry_usage_error_exits_2(tmp_path):
+    result = run_cli("sample", "model.json", "--shots", "0", cwd=tmp_path, module="heatchain")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("usage: heatchain sample ")
+    assert result.stderr.endswith("error: argument --shots: must be at least 1, got 0\n")

@@ -184,6 +184,39 @@ class TestPermutationAndExplicit:
         with pytest.raises(ModelError, match="not a shell"):
             realize_unitary(shells, UnitarySpec.explicit({"7": [[1]]}), 0)
 
+    @pytest.mark.parametrize(
+        "blocks, row, entries, rows",
+        [
+            # numpy refused this one at realization, with a ValueError.
+            pytest.param({"2": [[1], [0, 1]]}, 0, 1, 2, id="ragged"),
+            pytest.param({"1": [[1, 0]]}, 0, 2, 1, id="wide"),
+            pytest.param({"1": [[1, 0], [0, 1]], "0": [[1], [1]]}, 0, 1, 2, id="second-block-tall"),
+        ],
+    )
+    def test_explicit_block_that_is_not_square_rejected_at_construction(self, blocks, row, entries, rows):
+        with pytest.raises(ModelError, match=rf"must be square: row {row} has {entries} entries, the block has {rows} rows"):
+            UnitarySpec.explicit(blocks)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(lambda: UnitarySpec.permutation({"1": [[True, False]]}), id="both"),
+            pytest.param(lambda: UnitarySpec.permutation({"1": [[0, True]]}), id="second"),
+        ],
+    )
+    def test_boolean_cycle_members_rejected(self, call):
+        with pytest.raises(ModelError, match="integer member indices"):
+            call()
+
+    @pytest.mark.parametrize("shift", [True, False, 1.5, "1"])
+    def test_shift_that_is_not_an_integer_rejected(self, shift):
+        with pytest.raises(ModelError, match="permutation shift must be an integer"):
+            UnitarySpec.permutation(shift=shift)
+
+    def test_numpy_integers_accepted_as_members_and_shift(self):
+        spec = UnitarySpec.permutation({"1": [[np.int64(0), np.int64(1)]]}, shift=np.int64(1))
+        assert spec.cycles == ((Fraction(1), ((0, 1),)),) and spec.shift == 1
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ModelError):
             UnitarySpec(kind="rotation")
