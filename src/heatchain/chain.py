@@ -15,20 +15,24 @@ the heat-id and sampler tables read.  What depends on the spectra alone is
 built once per group and shared, read-only, by its collisions: the shells
 tuple (cached by ``build_energy_shells``, so sub-models reuse it too), its
 flat index arrays and its heat-id table.  What differs per collision is
-stacked: each collision's blocks are one flat row, shell by shell; the
-Haar shells of all collisions are drawn each from its own stream and put
-through one QR and one phase fix per shell size; and the squared moduli,
-the exit-sum check and the propagators (one ordered ``np.add.at``) are
-computed for a whole group at once.  Stages hold read-only views of the
-group's stacked rows.  Every number is the one a collision-by-collision
-realization gives, bit for bit, whatever the other collisions of a stack
-are.
+stacked, one row per collision: its blocks as one flat row, shell by
+shell, and its thermal populations.  The group's thermal states come from
+one ``np.exp`` over its betas by levels; its identity and partial-swap
+rows are filled at once, after one check of the swap's shell structure;
+the Haar shells of all collisions are drawn each from its own stream and
+put through one QR and one phase fix per shell size; and the squared
+moduli, the exit-sum check and the propagators (one ordered
+``np.add.at``) are computed for the whole group.  A stage's ``unitary``
+and ``tensor`` are read-only views of its group's rows, built when first
+read, so routes that never read them (``sample``, ``exact``) never build
+them.  Every number is the one a collision-by-collision realization gives,
+bit for bit, whatever the other collisions of a stack are.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import NamedTuple, Sequence
@@ -46,10 +50,9 @@ from .unitaries import (
     _haar_stack,
     _jump_probabilities,
     _not_unitary,
+    _partial_swap_rows,
     _row_blocks,
     _shell_index,
-    _stream_tag,
-    _tensors,
     build_energy_shells,
 )
 
@@ -209,27 +212,48 @@ def backward_path_probability(
     return weight
 
 
+class SpectrumGroup(NamedTuple):
+    """The collisions on one ancilla spectrum, as :func:`realize_model` stacks them.
+
+    Row ``k`` of each stacked array belongs to collision ``collisions[k]``;
+    every array is read-only.
+    """
+
+    spectrum: Spectrum
+    shells: tuple[EnergyShell, ...]
+    collisions: tuple[int, ...]  # 0-based, ascending
+    probs: np.ndarray  # flat jump probabilities, shell by shell
+    rows: np.ndarray  # flat unitary blocks, shell by shell
+    populations: np.ndarray  # ancilla thermal populations
+
+
 @dataclass(frozen=True, eq=False)
 class CollisionStage:
-    """Everything realized for one collision of the chain."""
+    """Everything realized for one collision of the chain.
+
+    ``unitary`` and ``tensor`` are read-only views of row ``row`` of the
+    group's stacked blocks and jump probabilities, built on first read.
+    """
 
     index: int  # 1-based collision number
     spectrum: Spectrum
     beta: float
     shells: tuple[EnergyShell, ...]
-    unitary: CollisionUnitary
-    tensor: TransitionTensor
     ancilla_state: ThermalState
     propagator: Propagator
+    group: SpectrumGroup = field(repr=False)
+    row: int
 
+    @cached_property
+    def unitary(self) -> CollisionUnitary:
+        blocks = _row_blocks(self.group.rows[self.row], _shell_index(self.shells))
+        return CollisionUnitary(self.shells, blocks)
 
-class SpectrumGroup(NamedTuple):
-    """The collisions on one ancilla spectrum, as :func:`realize_model` stacks them."""
-
-    spectrum: Spectrum
-    shells: tuple[EnergyShell, ...]
-    collisions: tuple[int, ...]  # 0-based, ascending
-    probs: np.ndarray  # read-only; row k is collision collisions[k]'s flat jump probabilities
+    @cached_property
+    def tensor(self) -> TransitionTensor:
+        index = _shell_index(self.shells)
+        probs = _row_blocks(self.group.probs[self.row], index)
+        return TransitionTensor(self.shells, probs, self.propagator.dim, self.spectrum.dim, index.position)
 
 
 @dataclass(frozen=True, eq=False)
@@ -291,76 +315,99 @@ class RealizedModel:
 
 
 class _Group:
-    """A :class:`SpectrumGroup` being built: shared shells, and a flat block row per collision."""
+    """A :class:`SpectrumGroup` being built: shared shells, and what differs per collision."""
 
     def __init__(self, shells: tuple[EnergyShell, ...]) -> None:
         self.shells = shells
         self.index = _shell_index(shells)
-        self.identity = (self.index.out == self.index.into).astype(complex)
         self.positions: list[int] = []  # 0-based, ascending
-        self.rows: list[np.ndarray] = []
+        self.betas: list[float] = []
+        self.fixed: list[tuple[int, np.ndarray]] = []  # (row, flat blocks) of permutation and explicit
+        self.swaps: list[int] = []  # rows of partial swaps
+        self.thetas: list[float] = []
+        self.rows: np.ndarray | None = None  # stacked flat blocks, once every collision is met
 
 
 @lru_cache(maxsize=128)
 def realize_model(config: ModelConfig) -> RealizedModel:
-    """Build shells, unitaries, tensors and propagators for every collision.
+    """Build shells, block rows, thermal states and propagators for every collision.
 
     Results are cached on the (immutable) config, so repeated queries about
     the same model reuse one realization.  Errors are raised in collision
-    order, as realizing the collisions one by one would raise them: exit
-    sums of explicit blocks are checked as each collision is met.
+    order, as realizing the collisions one by one would raise them: the
+    collisions are grouped in order, and a group's partial-swap structure
+    and each explicit or permutation collision's blocks are checked as the
+    collision is met.
     """
     system_state = gibbs_state(config.system, config.system_beta)
     groups: dict[Spectrum, _Group] = {}
-    draws: dict[int, list] = {}  # Haar shell size -> (row, flat offset, stream) per shell
-    states = []
+    draws: dict[int, list] = {}  # Haar shell size -> (group, row, flat offset, stream) per shell
     for position, anc in enumerate(config.ancillas):
         group = groups.get(anc.spectrum)
         if group is None:
             group = groups[anc.spectrum] = _Group(build_energy_shells(config.system, anc.spectrum))
-        states.append(gibbs_state(anc.spectrum, anc.beta))
+        k = len(group.positions)
+        group.positions.append(position)
+        group.betas.append(anc.beta)
         spec = anc.unitary
-        if spec.kind == "haar":
-            row = group.identity.copy()  # [[1]] on one-member shells
-            for k, (first, size) in enumerate(group.index.spans):
+        if spec.kind == "partial_swap":
+            if not group.swaps:  # check the group's shells here, in collision order
+                _partial_swap_rows(group.shells, ())
+            group.swaps.append(k)
+            group.thetas.append(spec.theta)
+        elif spec.kind == "haar":  # one-member shells keep [[1]]
+            for j, (first, size) in enumerate(group.index.spans):
                 if size > 1:
-                    stream = substream(config.master_seed, _stream_tag(spec), k)
-                    draws.setdefault(size, []).append((row, first, stream))
-        else:
+                    stream = substream(config.master_seed, spec.stream_tag or 0, j)
+                    draws.setdefault(size, []).append((group, k, first, stream))
+        elif spec.kind != "identity":
             row = np.concatenate([block.ravel() for block in _fixed_blocks(group.shells, spec)])
             if spec.kind == "explicit":  # the one kind whose exit sums can miss 1
                 failing = _jump_probabilities(group.shells, row[None])[1][0]
                 if failing >= 0:
                     raise _not_unitary(group.shells[failing])
-        group.positions.append(position)
-        group.rows.append(row)
+            group.fixed.append((k, row))
+    for group in groups.values():
+        index = group.index
+        group.rows = np.zeros((len(group.positions), len(index.out)), dtype=complex)
+        group.rows[:, index.out == index.into] = 1.0
+        if group.swaps:
+            group.rows[group.swaps] = _partial_swap_rows(group.shells, group.thetas)
+        for k, row in group.fixed:
+            group.rows[k] = row
     for size, batch in draws.items():
-        for (row, start, _), block in zip(batch, _haar_stack(size, [rng for *_, rng in batch])):
-            row[start : start + size * size] = block.ravel()
+        for (group, k, start, _), block in zip(batch, _haar_stack(size, [rng for *_, rng in batch])):
+            group.rows[k, start : start + size * size] = block.ravel()
 
     stages = [None] * config.n_collisions
     records = []
     for spectrum, group in groups.items():
-        rows = np.array(group.rows)
-        rows.flags.writeable = False
+        rows = group.rows
         probs, failing = _jump_probabilities(group.shells, rows)
         if (failing >= 0).any():  # a defect: only explicit blocks can miss, and they are checked above
             raise _not_unitary(group.shells[failing[failing >= 0][0]])
-        tensors = _tensors(group.shells, probs)
-        q = np.array([states[i].populations for i in group.positions])
-        matrices = _propagator_stack(group.index, tensors[0].d_system, probs, q)
-        for i, row, tensor, matrix in zip(group.positions, rows, tensors, matrices):
-            anc = config.ancillas[i]
-            blocks = _row_blocks(row, group.index)
+        # The thermal states of gibbs_state, one row per collision.
+        x = -np.array(group.betas, dtype=float)[:, None] * spectrum.as_floats()
+        shift = x.max(axis=1)
+        weights = np.exp(x - shift[:, None])
+        totals = weights.sum(axis=1)
+        populations = weights / totals[:, None]
+        matrices = _propagator_stack(group.index, config.system.dim, probs, populations)
+        for array in (rows, probs, populations):
+            array.flags.writeable = False
+        record = SpectrumGroup(spectrum, group.shells, tuple(group.positions), probs, rows, populations)
+        for k, (i, beta, matrix, offset, total) in enumerate(
+            zip(group.positions, group.betas, matrices, shift.tolist(), totals.tolist())
+        ):
             stages[i] = CollisionStage(
                 index=i + 1,
-                spectrum=anc.spectrum,
-                beta=anc.beta,
+                spectrum=spectrum,
+                beta=beta,
                 shells=group.shells,
-                unitary=CollisionUnitary(shells=group.shells, blocks=blocks),
-                tensor=tensor,
-                ancilla_state=states[i],
+                ancilla_state=ThermalState(float(beta), populations[k], offset + math.log(total)),
                 propagator=Propagator(matrix=matrix, collision_index=i + 1),
+                group=record,
+                row=k,
             )
-        records.append(SpectrumGroup(spectrum, group.shells, tuple(group.positions), probs))
+        records.append(record)
     return RealizedModel(config, system_state, tuple(stages), tuple(records))

@@ -166,13 +166,14 @@ def _unitary(raw: object, path: str) -> UnitarySpec:
         if cycles_raw is not None:
             if not isinstance(cycles_raw, Mapping):
                 raise _fail(f"{path}.cycles", "expected {'num/den': [[...], ...]}")
+            # Keyed as written: the library rejects a total written two ways ("1", "2/2").
             cycles = {}
             for total, cycs in cycles_raw.items():
                 try:
-                    key = parse_rational(total)
+                    parse_rational(total)
                 except ModelError as exc:
                     raise _fail(f"{path}.cycles", str(exc)) from None
-                cycles[key] = cycs
+                cycles[total] = cycs
         shift = raw.get("shift", 0)
         if isinstance(shift, bool) or not isinstance(shift, int):
             raise _fail(f"{path}.shift", "expected an integer")
@@ -187,10 +188,10 @@ def _unitary(raw: object, path: str) -> UnitarySpec:
         blocks = {}
         for total, mat in blocks_raw.items():
             try:
-                key = parse_rational(total)
+                parse_rational(total)
             except ModelError as exc:
                 raise _fail(f"{path}.blocks", str(exc)) from None
-            blocks[key] = _complex_matrix(mat, f"{path}.blocks[{total}]")
+            blocks[total] = _complex_matrix(mat, f"{path}.blocks[{total}]")
         try:
             return UnitarySpec.explicit(blocks)
         except ModelError as exc:
@@ -209,6 +210,10 @@ def parse_model(document: Mapping) -> ModelConfig:
     system = document["system"]
     spectrum = _spectrum(system.get("energies"), "system.energies")
     beta_s = _number(system.get("beta", 0.0), "system.beta")
+    # Each distinct energies list is parsed once, at its first use, which is
+    # where a bad list is reported.  Lists are keyed on their repr, which
+    # tells "1", 1, 1.0 and true apart.
+    spectra = {repr(system.get("energies")): spectrum}
 
     raw_ancillas = document.get("ancillas")
     if not isinstance(raw_ancillas, list) or not raw_ancillas:
@@ -218,9 +223,13 @@ def parse_model(document: Mapping) -> ModelConfig:
         path = f"ancillas[{idx}]"
         if not isinstance(raw, Mapping):
             raise _fail(path, "expected an object")
+        energies = raw.get("energies")
+        key = repr(energies)
+        if key not in spectra:
+            spectra[key] = _spectrum(energies, f"{path}.energies")
         ancillas.append(
             AncillaSpec(
-                spectrum=_spectrum(raw.get("energies"), f"{path}.energies"),
+                spectrum=spectra[key],
                 beta=_number(raw.get("beta", 0.0), f"{path}.beta"),
                 unitary=_unitary(raw.get("unitary", {"kind": "identity"}), f"{path}.unitary"),
             )

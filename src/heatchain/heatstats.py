@@ -376,7 +376,7 @@ def _ancilla_layers(realized: RealizedModel) -> list[_Layer]:
         index = _shell_index(group.shells)
         inputs = np.lexsort((index.ancilla, index.system))
         jumps, n_in = index.jumps[inputs], index.ancilla[inputs]
-        q = np.array([realized.stages[i].ancilla_state.populations for i in group.collisions])
+        q = group.populations
         probs = np.pad(group.probs, ((0, 0), (0, 1)))[:, jumps]
         k, r, c = np.nonzero((probs != 0.0) & (q[:, n_in] != 0.0)[:, :, None])
         out, n_in = index.out[jumps[r, c]], n_in[r]

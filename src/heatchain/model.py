@@ -218,10 +218,16 @@ class ModelConfig:
             raise ModelError("master_seed must be an unsigned 64-bit integer")
         # Pin each ancilla's unitary stream tag to its 1-based position, so
         # sub-models built from a subset of ancillas realize identical blocks.
+        # The constructors cost less than two dataclasses.replace calls.
         resolved = []
         for position, anc in enumerate(ancillas, start=1):
-            if anc.unitary.stream_tag is None:
-                anc = replace(anc, unitary=replace(anc.unitary, stream_tag=position))
+            spec = anc.unitary
+            if spec.stream_tag is None:
+                spec = type(spec)(
+                    kind=spec.kind, theta=spec.theta, shift=spec.shift, cycles=spec.cycles,
+                    blocks=spec.blocks, stream_tag=position,
+                )
+                anc = type(anc)(spectrum=anc.spectrum, beta=anc.beta, unitary=spec)
             resolved.append(anc)
         object.__setattr__(self, "ancillas", tuple(resolved))
 

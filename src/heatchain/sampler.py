@@ -207,7 +207,8 @@ class _SamplerTables:
     the log form of sigma, is read from ``anc_heat_id`` and ``log_q`` at
     sampling time instead.  Slots are filled a spectrum group at a time, from
     the stacked jump probabilities that ``RealizedModel.groups`` keeps, read
-    through the ``jumps`` index of the group's shells.
+    through the ``jumps`` index of the group's shells; the ancilla columns,
+    ``log_q`` and ``anc_heat_id`` are filled from its stacked populations.
     """
 
     def __init__(self, model: ModelConfig) -> None:
@@ -220,23 +221,26 @@ class _SamplerTables:
         self.p0_cum = np.cumsum(p0)
         self.log_p0 = _logs(p0)
 
-        width = self.width = max(stage.spectrum.dim for stage in realized.stages)
+        width = self.width = max(group.spectrum.dim for group in realized.groups)
         self.anc_columns = np.full((width - 1, n), np.inf)
         self.log_q = np.zeros((n, width))
         self.heat_fraction: tuple[Fraction, ...] = realized.heat_values
         self.code_dtype = realized.system_heat_ids.dtype
         self.anc_heat_id = np.zeros((n, width, width), dtype=self.code_dtype)
-        for i, stage in enumerate(realized.stages):
-            q = stage.ancilla_state.populations
-            self.anc_columns[: len(q) - 1, i] = np.cumsum(q)[:-1]
-            self.log_q[i, : len(q)] = _logs(q)
-            self.anc_heat_id[i, : len(q), : len(q)] = realized.ancilla_heat_ids[i]
+        inputs = np.zeros(n, dtype=np.intp)  # joint inputs per collision
+        for group in realized.groups:
+            at, q = list(group.collisions), group.populations
+            d = q.shape[1]
+            self.anc_columns[: d - 1, at] = np.cumsum(q, axis=1)[:, :-1].T
+            self.log_q[at, :d] = _logs(q.ravel()).reshape(q.shape)
+            self.anc_heat_id[at, :d, :d] = realized.ancilla_heat_ids[at[0]]
+            inputs[at] = dim * d
 
         # One row per joint input of each collision, in collision order and
         # then in shell member order; a row's slots hold its nonzero jumps in
         # output order, read off each group's stacked probs through the
         # shells' ``jumps`` index.
-        first_row = np.cumsum([0] + [dim * stage.spectrum.dim for stage in realized.stages])
+        first_row = np.concatenate(([0], np.cumsum(inputs)))
         widest = max(shell.size for group in realized.groups for shell in group.shells)
         weight = np.zeros((first_row[-1], widest))
         level, heat, pair = (np.zeros((first_row[-1], widest), dtype=np.intp) for _ in range(3))

@@ -172,6 +172,11 @@ class UnitarySpec:
             raise ModelError("partial_swap angle must be finite")
         if self.stream_tag is not None and self.stream_tag < 0:
             raise ModelError(f"stream_tag must be at least 0, got {self.stream_tag}")
+        seen = set()
+        for total, _ in (*self.cycles, *self.blocks):  # "1" and "2/2" are one total
+            if total in seen:
+                raise ModelError(f"total energy {format_rational(total)} is given twice")
+            seen.add(total)
         for total, mat in self.blocks:
             for r, row in enumerate(mat):
                 if len(row) != len(mat):
@@ -210,17 +215,19 @@ class UnitarySpec:
                 ) from None
         if isinstance(shift, bool) or not isinstance(shift, numbers.Integral):
             raise ModelError(f"permutation shift must be an integer, got {shift!r}")
-        return cls(kind="permutation", cycles=tuple(sorted(packed)), shift=int(shift))
+        packed.sort(key=operator.itemgetter(0))
+        return cls(kind="permutation", cycles=tuple(packed), shift=int(shift))
 
     @classmethod
     def explicit(cls, blocks: Mapping[object, Sequence[Sequence[complex]]]) -> "UnitarySpec":
-        packed = tuple(
-            sorted(
+        packed = sorted(
+            (
                 (parse_rational(total), tuple(tuple(complex(v) for v in row) for row in mat))
                 for total, mat in blocks.items()
-            )
+            ),
+            key=operator.itemgetter(0),
         )
-        return cls(kind="explicit", blocks=packed)
+        return cls(kind="explicit", blocks=tuple(packed))
 
     @classmethod
     def identity(cls) -> "UnitarySpec":
@@ -315,9 +322,12 @@ def _permutation_block(shell: EnergyShell, spec: UnitarySpec) -> np.ndarray:
     return block
 
 
-def _partial_swap_blocks(
-    shells: tuple[EnergyShell, ...], theta: float
-) -> list[np.ndarray]:
+def _partial_swap_rows(shells: tuple[EnergyShell, ...], thetas: Sequence[float]) -> np.ndarray:
+    """Stacked flat block rows of the partial swaps by ``thetas``; the shells are checked once.
+
+    An empty ``thetas`` checks the shells alone.  The exchange shell is the
+    middle one, so its block is entries 1 to 4 of a row.
+    """
     sizes = [shell.size for shell in shells]
     exchange = [shell for shell in shells if shell.size == 2]
     total_members = sum(sizes)
@@ -331,12 +341,14 @@ def _partial_swap_blocks(
             "partial_swap exchange shell must pair (ground, excited) with "
             f"(excited, ground); got members {exchange[0].members}"
         )
-    c, s = math.cos(theta), math.sin(theta)
-    swap = np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
-    blocks = []
-    for shell in shells:
-        blocks.append(swap.copy() if shell.size == 2 else np.eye(shell.size, dtype=complex))
-    return blocks
+    rows = np.zeros((len(thetas), 6), dtype=complex)
+    rows[:, [0, 5]] = 1.0
+    swaps = []
+    for theta in thetas:
+        c, s = math.cos(theta), math.sin(theta)
+        swaps.append((c, -1j * s, -1j * s, c))
+    rows[:, 1:5] = np.array(swaps, dtype=complex).reshape(len(thetas), 4)
+    return rows
 
 
 def realize_unitary(
@@ -355,14 +367,10 @@ def realize_unitary(
     blocks = [
         np.eye(1, dtype=complex)
         if shell.size == 1
-        else haar_unitary(shell.size, substream(master_seed, _stream_tag(spec), k))
+        else haar_unitary(shell.size, substream(master_seed, spec.stream_tag or 0, k))
         for k, shell in enumerate(shells)
     ]
     return CollisionUnitary(shells=shells, blocks=tuple(blocks))
-
-
-def _stream_tag(spec: UnitarySpec) -> int:
-    return spec.stream_tag if spec.stream_tag is not None else 0
 
 
 def _fixed_blocks(shells: tuple[EnergyShell, ...], spec: UnitarySpec) -> list[np.ndarray]:
@@ -370,7 +378,7 @@ def _fixed_blocks(shells: tuple[EnergyShell, ...], spec: UnitarySpec) -> list[np
     if spec.kind == "identity":
         return [np.eye(shell.size, dtype=complex) for shell in shells]
     if spec.kind == "partial_swap":
-        return _partial_swap_blocks(shells, spec.theta)
+        return list(_row_blocks(_partial_swap_rows(shells, [spec.theta])[0], _shell_index(shells)))
     if spec.kind == "permutation":
         return [_permutation_block(shell, spec) for shell in shells]
     if spec.kind != "explicit":  # pragma: no cover - kinds are validated at spec construction
@@ -456,11 +464,13 @@ def transition_tensor(unitary: CollisionUnitary) -> TransitionTensor:
     Unitarity makes every block doubly stochastic: each input's exit
     probabilities and each output's entry probabilities sum to one.
     """
+    shells, index = unitary.shells, _shell_index(unitary.shells)
     rows = np.concatenate([block.ravel() for block in unitary.blocks])[None]
-    probs, failing = _jump_probabilities(unitary.shells, rows)
+    probs, failing = _jump_probabilities(shells, rows)
     if failing[0] >= 0:
-        raise _not_unitary(unitary.shells[failing[0]])
-    return _tensors(unitary.shells, probs)[0]
+        raise _not_unitary(shells[failing[0]])
+    dims = 1 + int(index.system.max()), 1 + int(index.ancilla.max())
+    return TransitionTensor(shells, _row_blocks(probs[0], index), *dims, index.position)
 
 
 def _jump_probabilities(
@@ -486,20 +496,3 @@ def _not_unitary(shell: EnergyShell) -> ModelError:
         f"block at total energy {format_rational(shell.total_energy)} is not "
         "unitary: exit probabilities do not sum to 1"
     )
-
-
-def _tensors(shells: tuple[EnergyShell, ...], probs: np.ndarray) -> list[TransitionTensor]:
-    """One tensor per row of stacked flat jump probabilities, holding read-only views of it."""
-    index = _shell_index(shells)
-    probs.flags.writeable = False
-    d_system, d_ancilla = 1 + int(index.system.max()), 1 + int(index.ancilla.max())
-    return [
-        TransitionTensor(
-            shells=shells,
-            probs=_row_blocks(row, index),
-            d_system=d_system,
-            d_ancilla=d_ancilla,
-            position=index.position,
-        )
-        for row in probs
-    ]

@@ -375,6 +375,22 @@ CYCLES = "ancillas[0].unitary.cycles"
             lambda: UnitarySpec.explicit({"1": [[1, 0]]}),
             id="rectangular-block",
         ),
+        # "1" and "2/2" are one total energy: the later entry used to win silently.
+        pytest.param(
+            permutation({"1": [[0, 1]], "2/2": [[1, 0]]}),
+            CYCLES,
+            lambda: UnitarySpec.permutation({"1": [[0, 1]], "2/2": [[1, 0]]}),
+            id="cycles-total-twice",
+        ),
+        pytest.param(
+            qubit_pair({"kind": "explicit", "blocks": {
+                "1": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
+                "2/2": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]],
+            }}),
+            "ancillas[0].unitary.blocks",
+            lambda: UnitarySpec.explicit({"1": [[1, 0], [0, 1]], "2/2": [[0, 1], [1, 0]]}),
+            id="blocks-total-twice",
+        ),
         pytest.param(
             qubit_pair({"kind": "identity"}, ["0", "1e400"]),
             "system.energies",
@@ -404,6 +420,24 @@ def test_malformed_document_exits_2_naming_its_path(tmp_path, capsys, document, 
     if library_call is not None:
         with pytest.raises(ModelError):
             library_call()
+
+
+@pytest.mark.parametrize(
+    "energies, error",
+    [
+        # Equal to the valid ["0", 1] as values, but a float and a boolean.
+        pytest.param(["0", 1.0], "energies[1]: floats are not exact", id="float"),
+        pytest.param(["0", True], "energies[1]: invalid rational True", id="bool"),
+        pytest.param(["0", "0"], "energies: degenerate spectrum", id="degenerate"),
+    ],
+)
+@pytest.mark.parametrize("k", [0, 2])
+def test_bad_energies_list_exits_2_naming_its_first_ancilla(tmp_path, capsys, energies, error, k):
+    # Each distinct list is parsed once: valid lists before it, and the bad list again after it.
+    ancillas = [{"energies": ["0", 1]}] * k + [{"energies": energies}] * 2
+    path = write_model(tmp_path, {"system": {"energies": ["0", "1"]}, "ancillas": ancillas})
+    assert dispatch(["validate", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: ancillas[{k}].{error}")
 
 
 def test_entropy_on_zero_population_level_exits_2(tmp_path, capsys):

@@ -213,6 +213,26 @@ class TestPermutationAndExplicit:
         with pytest.raises(ModelError, match="permutation shift must be an integer"):
             UnitarySpec.permutation(shift=shift)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            # The later entry used to win silently.
+            pytest.param(lambda: UnitarySpec.permutation({"1": [[0, 1]], "2/2": [[1, 0]]}), id="cycles"),
+            # Sorting the two entries compared their matrices: a bare TypeError.
+            pytest.param(
+                lambda: UnitarySpec.explicit({"1": [[1, 0], [0, 1]], "2/2": [[0, 1], [1, 0]]}),
+                id="blocks",
+            ),
+            pytest.param(
+                lambda: UnitarySpec.explicit({"1": [[1, 0], [0, 1]], "2/2": [[1, 0], [0, 1]]}),
+                id="equal-blocks",
+            ),
+        ],
+    )
+    def test_total_energy_written_two_ways_rejected(self, call):
+        with pytest.raises(ModelError, match="total energy 1/1 is given twice"):
+            call()
+
     def test_numpy_integers_accepted_as_members_and_shift(self):
         spec = UnitarySpec.permutation({"1": [[np.int64(0), np.int64(1)]]}, shift=np.int64(1))
         assert spec.cycles == ((Fraction(1), ((0, 1),)),) and spec.shift == 1
