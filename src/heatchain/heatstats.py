@@ -63,9 +63,12 @@ block formatter, ``_text_block``: a block of rows (512 keys of an export, one
 once.  A list column is cut into runs of up to ``c`` consecutive ids; a run's
 ids, read as one number, index a table of the run's joined texts with
 separators appended (``_list_tables``), so a row of N items takes about N / c
-lookups.  A block's masses (each distinct one once where neighbours repeat, as
-a sampled law's counts do) are formatted by one call: ``repr`` for CSV, the
-JSON encoder for JSON, so ``NaN`` and ``Infinity`` follow JSON's rules.  The
+lookups.  An export's masses are formatted 1024 keys at a time, each distinct
+one once where neighbours repeat (as a sampled law's counts do), as ``repr``
+spells them: by :mod:`heatchain.floattext`, which writes them for the whole
+array at once, from ``_FLOAT_TEXTS_MIN`` masses, else by ``repr``.  JSON spells
+finite floats as ``repr`` does; a span with a ``nan`` or ``inf`` mass goes
+through the JSON encoder, so ``NaN`` and ``Infinity`` follow JSON's rules.  The
 JSON export has the bytes of ``json.dumps(distribution_to_json(dist),
 indent=2)``, without the dict or the indenting encoder.
 """
@@ -126,6 +129,8 @@ HeatKey = tuple[Fraction, ...]
 
 _CODE_LIMIT = 2**63  # int64 key codes stay below this
 _EXPORT_BLOCK_ROWS = 512  # keys per block of exported text
+_EXPORT_SPAN_ROWS = 1024  # keys whose masses are formatted together
+_FLOAT_TEXTS_MIN = 256  # floattext's threshold: fewer masses are formatted by repr without importing it
 _RUN_CELLS = 256  # most cells in a table of list runs (see _list_tables)
 _BLOCK_PATHS = 2**14  # paths per frontier expansion in _path_blocks
 _DENSE_CODES = 8  # _first_occurrence groups through a code table up to this many codes per element
@@ -192,13 +197,7 @@ def _coded_law(
 ) -> JointHeatDistribution:
     """A law that holds only its codes; ``entries`` is built on first touch."""
     dist = object.__new__(JointHeatDistribution)
-    for name, value in (
-        ("_codes", codes),
-        ("direction", direction),
-        ("n_collisions", n_collisions),
-        ("pruned_mass", pruned_mass),
-    ):
-        object.__setattr__(dist, name, value)
+    dist.__dict__.update(_codes=codes, direction=direction, n_collisions=n_collisions, pruned_mass=pruned_mass)
     return dist
 
 
@@ -535,9 +534,7 @@ def _exact_joint(model: ModelConfig, cap: int, direction: str) -> JointHeatDistr
     return _system_law(realized, _system_layers(realized, stages), cap, direction)
 
 
-def exact_forward_joint(
-    model: ModelConfig, cap: int = DEFAULT_ENUMERATION_CAP
-) -> JointHeatDistribution:
+def exact_forward_joint(model: ModelConfig, cap: int = DEFAULT_ENUMERATION_CAP) -> JointHeatDistribution:
     """Enumerate every system path of the forward chain exactly.
 
     Slot ``i-1`` of each key is the heat delivered to ancilla ``i``.
@@ -545,9 +542,7 @@ def exact_forward_joint(
     return _exact_joint(model, cap, "forward")
 
 
-def exact_backward_joint(
-    model: ModelConfig, cap: int = DEFAULT_ENUMERATION_CAP
-) -> JointHeatDistribution:
+def exact_backward_joint(model: ModelConfig, cap: int = DEFAULT_ENUMERATION_CAP) -> JointHeatDistribution:
     """Enumerate the reversed protocol exactly.
 
     Rethermalizing everything and conjugating the interactions leaves the
@@ -592,9 +587,7 @@ def exact_forward_joint_via_ancilla_paths(
     return _sweep(realized, layers, "forward")
 
 
-def marginalize(
-    dist: JointHeatDistribution, keep: int | Sequence[int]
-) -> JointHeatDistribution:
+def marginalize(dist: JointHeatDistribution, keep: int | Sequence[int]) -> JointHeatDistribution:
     """Sum out heat coordinates, keeping a prefix or an arbitrary subset.
 
     ``keep`` is either a prefix length (kept coordinates 0..keep-1) or an
@@ -845,9 +838,7 @@ def _differences(a: JointHeatDistribution, b: JointHeatDistribution) -> np.ndarr
     return np.abs(np.concatenate([masses_a - _masses_at(masses_b, at), masses_b[only_b]]))
 
 
-def compare_distributions(
-    a: JointHeatDistribution, b: JointHeatDistribution
-) -> float:
+def compare_distributions(a: JointHeatDistribution, b: JointHeatDistribution) -> float:
     """Largest entrywise probability difference over the union support."""
     return float(np.max(_differences(a, b), initial=0.0))
 
@@ -865,9 +856,7 @@ def integral_ft_expectation(forward: JointHeatDistribution, model: ModelConfig) 
     deltas = [beta - model.system_beta for beta in model.ancilla_betas]
     values, ids, masses = _codes(forward)
     exponents = _exponents(values, ids, deltas)
-    return float(
-        sum(p * math.exp(-s) for p, s in zip(masses.tolist(), exponents.tolist()))
-    )
+    return float(sum(p * math.exp(-s) for p, s in zip(masses.tolist(), exponents.tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -935,14 +924,24 @@ def _text_block(rows: int, parts: Sequence) -> str:
 
 
 def _export_blocks(dist: JointHeatDistribution, texts: Callable) -> Iterator[tuple]:
-    """Id rows in key order, ``_EXPORT_BLOCK_ROWS`` keys at a time, and cells of their masses' ``texts``."""
+    """Id rows in key order, ``_EXPORT_BLOCK_ROWS`` keys at a time, and cells of their masses' texts.
+
+    Finite masses are spelled as ``repr`` spells them, others by ``texts`` (a list of floats -> texts).
+    """
     _, ids, masses = _codes(dist)
     order = _key_order(ids)
-    for start in range(0, len(order), _EXPORT_BLOCK_ROWS):
-        block = order[start : start + _EXPORT_BLOCK_ROWS]
-        bits = masses[block].view(np.int64)  # repeated by neighbours, as a sampled law's counts are:
+    for start in range(0, len(order), _EXPORT_SPAN_ROWS):
+        span = order[start : start + _EXPORT_SPAN_ROWS]
+        bits = masses[span].view(np.int64)  # repeated by neighbours, as a sampled law's counts are:
         bits, at = np.unique(bits, return_inverse=True) if (bits[1:] == bits[:-1]).any() else (bits, ...)
-        yield ids[block], _cells(texts(bits.view(float).tolist()))[at]  # one text per distinct mass
+        values = bits.view(float)  # one text per distinct mass
+        if len(values) >= _FLOAT_TEXTS_MIN and np.isfinite(values).all():
+            from .floattext import float_texts
+            cells = _cells(float_texts(values))[at]
+        else:
+            cells = _cells(texts(values.tolist()))[at]
+        for block in range(0, len(span), _EXPORT_BLOCK_ROWS):
+            yield ids[span[block : block + _EXPORT_BLOCK_ROWS]], cells[block : block + _EXPORT_BLOCK_ROWS]
 
 
 def distribution_to_csv(dist: JointHeatDistribution, include_exact: bool = False) -> str:
@@ -973,9 +972,9 @@ def distribution_to_csv(dist: JointHeatDistribution, include_exact: bool = False
 def _distribution_json_text(dist: JointHeatDistribution) -> str:
     """``json.dumps(distribution_to_json(dist), indent=2) + "\\n"``, written in row blocks.
 
-    The entries are laid out as the indenting encoder lays them out, and
-    the probabilities are formatted by the JSON encoder itself, so the
-    float rules (``NaN``, ``Infinity``) are JSON's.
+    The entries are laid out as the indenting encoder lays them out; a
+    span of masses with a ``nan`` or ``inf`` is formatted by the encoder
+    itself, so the float rules (``NaN``, ``Infinity``) are JSON's.
     """
     values, ids, _ = _codes(dist)
     head = json.dumps(

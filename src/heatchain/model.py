@@ -216,20 +216,33 @@ class ModelConfig:
                 raise ModelError("ancilla beta must be finite")
         if not (0 <= self.master_seed < 2**64):
             raise ModelError("master_seed must be an unsigned 64-bit integer")
-        # Pin each ancilla's unitary stream tag to its 1-based position, so
-        # sub-models built from a subset of ancillas realize identical blocks.
-        # The constructors cost less than two dataclasses.replace calls.
+        # Equal configs share one cached realization, so each beta is held in
+        # one form: a float, with -0.0 as 0.0.  Each ancilla's unitary stream
+        # tag is pinned to its 1-based position, so sub-models built from a
+        # subset of ancillas realize identical blocks.  The constructors cost
+        # less than dataclasses.replace.
+        object.__setattr__(self, "system_beta", float(self.system_beta) + 0.0)
         resolved = []
         for position, anc in enumerate(ancillas, start=1):
-            spec = anc.unitary
+            spec, beta = anc.unitary, float(anc.beta) + 0.0
             if spec.stream_tag is None:
                 spec = type(spec)(
                     kind=spec.kind, theta=spec.theta, shift=spec.shift, cycles=spec.cycles,
                     blocks=spec.blocks, stream_tag=position,
                 )
-                anc = type(anc)(spectrum=anc.spectrum, beta=anc.beta, unitary=spec)
+            if spec is not anc.unitary or type(anc.beta) is not float or anc.beta == 0.0:  # maybe -0.0
+                anc = type(anc)(spectrum=anc.spectrum, beta=beta, unitary=spec)
             resolved.append(anc)
         object.__setattr__(self, "ancillas", tuple(resolved))
+        # Configs key the realization caches; the generated hash would walk every ancilla.
+        object.__setattr__(self, "_hash", hash((self.system, self.system_beta, self.ancillas, self.master_seed)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # The stored hash holds salted str hashes of this process: a copy is built anew.
+        return type(self), (self.system, self.system_beta, self.ancillas, self.master_seed)
 
     @property
     def n_collisions(self) -> int:

@@ -1,4 +1,6 @@
 import math
+import pickle
+from copy import deepcopy
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +16,7 @@ from heatchain import (
     gibbs_state,
     kl_divergence,
     parse_rational,
+    realize_model,
     shannon_entropy,
     single_collision_model,
     truncated_model,
@@ -233,3 +236,59 @@ class TestModelConfig:
         anc = AncillaSpec(qubit(), 2.0, UnitarySpec.haar(stream_tag=41))
         model = ModelConfig(system=qubit(), system_beta=1.0, ancillas=(anc,))
         assert model.ancillas[0].unitary.stream_tag == 41
+
+
+def signed(beta: float) -> tuple[type, str]:
+    return type(beta), repr(beta)
+
+
+class TestConfigHashAndBetas:
+    """Configs key the realization cache: their hash is taken once, and equal configs carry one beta form."""
+
+    def chain(self, system_beta, betas, seed=4):
+        kinds = [UnitarySpec.partial_swap(0.4), UnitarySpec.haar(), UnitarySpec.identity()]
+        ancillas = tuple(AncillaSpec(qubit(), b, kinds[i % 3]) for i, b in enumerate(betas))
+        return ModelConfig(system=qubit(), system_beta=system_beta, ancillas=ancillas, master_seed=seed)
+
+    def test_equal_configs_hash_equal(self):
+        a, b = self.chain(1.0, [0.5, 2.0, 3.0]), self.chain(1.0, [0.5, 2.0, 3.0])
+        assert a == b and hash(a) == hash(b)
+        assert hash(a) == hash((a.system, a.system_beta, a.ancillas, a.master_seed))
+        assert hash(truncated_model(a, 2)) == hash(truncated_model(b, 2))
+        assert hash(single_collision_model(a, 3)) == hash(single_collision_model(b, 3))
+
+    def test_a_copy_is_built_anew(self):
+        model = self.chain(-0.0, [0.5, 2.0, 3.0])
+        assert model.__reduce_ex__(4) == (ModelConfig, (model.system, 0.0, model.ancillas, 4))  # no stored state
+        for copy in (pickle.loads(pickle.dumps(model)), deepcopy(model)):
+            assert copy == model and hash(copy) == hash(model)
+            assert [a.unitary.stream_tag for a in copy.ancillas] == [1, 2, 3]
+
+    def test_a_cache_lookup_hashes_no_ancilla(self, monkeypatch):
+        betas = [0.5 + 0.01 * k for k in range(200)]
+        model, twin = self.chain(1.0, betas), self.chain(1.0, betas)
+        realized = realize_model(model)
+        calls = []
+        ancilla_hash = AncillaSpec.__hash__
+        monkeypatch.setattr(AncillaSpec, "__hash__", lambda self: calls.append(self) or ancilla_hash(self))
+        assert realize_model(model) is realized
+        assert realize_model(twin) is realized
+        assert calls == []
+
+    @pytest.mark.parametrize("first", ["negative-zero", "zero"])
+    def test_equal_configs_realize_the_same_betas_in_either_order(self, first):
+        loose = self.chain(-0.0, [-0.0, 1, 0, -0.0])
+        plain = self.chain(0.0, [0.0, 1.0, 0.0, 0.0])
+        assert loose == plain and hash(loose) == hash(plain)
+        for model in (loose, plain):
+            assert signed(model.system_beta) == (float, "0.0")
+            assert [signed(b) for b in model.ancilla_betas] == [(float, "0.0"), (float, "1.0"), (float, "0.0"), (float, "0.0")]
+        realize_model.cache_clear()
+        for model in (loose, plain) if first == "negative-zero" else (plain, loose):
+            realized = realize_model(model)
+            assert [signed(stage.beta) for stage in realized.stages] == [signed(b) for b in plain.ancilla_betas]
+            assert [signed(stage.ancilla_state.beta) for stage in realized.stages] == [
+                signed(b) for b in plain.ancilla_betas
+            ]
+            assert signed(realized.system_state.beta) == (float, "0.0")
+        realize_model.cache_clear()

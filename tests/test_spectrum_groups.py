@@ -139,7 +139,7 @@ def assert_thermal_states_match(model: ModelConfig) -> None:
         assert got.populations.tobytes() == want.populations.tobytes()
         assert got.populations.dtype == want.populations.dtype
         assert got.log_z.hex() == want.log_z.hex()
-        assert got.beta.hex() == want.beta.hex()  # -0.0 stays -0.0
+        assert got.beta.hex() == want.beta.hex()  # the config holds -0.0 as 0.0
         assert not got.populations.flags.writeable
     for group in realized.groups:
         assert not group.populations.flags.writeable
