@@ -63,6 +63,7 @@ from .model import (
     Spectrum,
     format_rational,
     parse_rational,
+    single_collision_model,
 )
 from .sampler import SamplerConfig, _post_states, _sample, average_entropy_production
 from .unitaries import UnitarySpec, validate_energy_preservation
@@ -204,7 +205,7 @@ def _unitary(raw: object, path: str) -> UnitarySpec:
 def parse_model(document: Mapping) -> ModelConfig:
     """Validate a model document and build the configuration."""
     if not isinstance(document, Mapping):
-        raise ModelError("model document must be a JSON object")
+        raise _fail("model document", "expected a JSON object")
     if "system" not in document or not isinstance(document["system"], Mapping):
         raise _fail("system", "missing or not an object")
     system = document["system"]
@@ -236,7 +237,7 @@ def parse_model(document: Mapping) -> ModelConfig:
         )
 
     seed = document.get("master_seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
+    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
         raise _fail("master_seed", "expected an unsigned 64-bit integer")
     config = ModelConfig(
         system=spectrum,
@@ -245,8 +246,17 @@ def parse_model(document: Mapping) -> ModelConfig:
         master_seed=seed,
     )
     # Surface structural problems (non-resonant partial swap, bad explicit
-    # blocks) at load time rather than on first use.
-    realize_model(config)
+    # blocks) at load time rather than on first use.  Collisions are realized
+    # in order, so the first ancilla that fails alone is the one reported.
+    try:
+        realize_model(config)
+    except ModelError as exc:
+        for i in range(1, config.n_collisions + 1):
+            try:
+                realize_model(single_collision_model(config, i))
+            except ModelError:
+                raise _fail(f"ancillas[{i - 1}].unitary", str(exc)) from None
+        raise
     return config
 
 

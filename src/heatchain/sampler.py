@@ -30,11 +30,12 @@ slice is counted, dumped or yielded, as if blocks held ``_BLOCK_SHOTS``
 shots.
 
 The command line samples without records: ``_sample`` counts each slice's
-heat-id rows as code bytes, adds ``exp(-sigma)`` in shot order and writes
-the slice's dump lines, building no per-shot object and no Fraction key.
-``iter_trajectories`` reads the same blocks into ``TrajectoryRecord``
-values for library callers; ``summarize_samples`` counts records on their
-exact heats, in order of first appearance, so both routes give the same law.
+heat-id rows as bytes in a ``_Tally``, adds ``exp(-sigma)`` in shot order
+and writes the slice's dump lines, building no per-shot object and no
+Fraction key.  ``summarize_samples`` is the plain reference over the
+``TrajectoryRecord`` values that ``iter_trajectories`` reads off the same
+blocks: a ``Counter`` of their exact heats, and ``exp(-sigma)`` added a
+record at a time, so both routes give the same law and the same sums.
 """
 
 from __future__ import annotations
@@ -157,19 +158,8 @@ class EmpiricalJoint:
         tallies = self.__dict__.get("_tallies")
         if name != "stderr" or tallies is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        total = self.shots
-        error = {}
-        for count in set(tallies):
-            p = count / total
-            error[count] = math.sqrt(p * (1.0 - p) / total)
-        # dict.fromkeys on a dict reuses its stored hashes, so only keys whose
-        # count differs from the most common one are hashed again.
-        entries = self.distribution.entries
-        common = Counter(tallies).most_common(1)[0][0]
-        stderr = dict.fromkeys(entries, error[common])
-        for key, count in zip(entries, tallies):
-            if count != common:
-                stderr[key] = error[count]
+        n, entries = self.shots, self.distribution.entries
+        stderr = _by_count(entries, tallies, lambda c: math.sqrt(c / n * (1.0 - c / n) / n))
         object.__setattr__(self, "stderr", stderr)
         return stderr
 
@@ -573,7 +563,7 @@ def _sample(
                 dump(_dump_text(tables, alphas, pair_codes, ids, sigma))
             tally.count_block(tables, ids)
             tally.weigh(sigma)
-    return tally.summary(config.shots)
+    return tally.summary(tables, config.shots)
 
 
 def heats_from_system_path(alphas: Iterable[int], system_spectrum) -> HeatKey:
@@ -749,44 +739,23 @@ def average_entropy_production(
     )
 
 
-def _chunks(records: Iterable[TrajectoryRecord]) -> Iterator[list[TrajectoryRecord]]:
-    """The records in lists of up to ``_BLOCK_SHOTS``, in order."""
-    records = iter(records)
-    while chunk := list(islice(records, _BLOCK_SHOTS)):
-        yield chunk
-
-
 class _Tally:
-    """Shot counts per heat key, in order of first appearance, and the ``exp(-sigma)`` sums.
+    """Shot counts per heat-id row, in order of first appearance, and the ``exp(-sigma)`` sums.
 
-    Shot blocks of one model's tables are counted on the bytes of their
-    heat-id rows, and the law comes out in coded form on the model's heat
-    registry.  Records are counted on their exact heats.  A tally counts
-    blocks or records, never both.
+    Every block comes from one model's tables: its rows are counted on their
+    bytes, and the law comes out in coded form on the model's heat registry.
     """
 
     def __init__(self) -> None:
-        self.source: _SamplerTables | None = None  # whose codes key the counts, if any
         self.counts: Counter = Counter()
-        self.seen = 0
-        self.n_collisions = 0
         self.exp_sum = 0.0
         self.exp_sq_sum = 0.0
 
     def count_block(self, tables: _SamplerTables, ids: np.ndarray) -> None:
-        """Count a block's ``(k, N)`` heat-id rows; every block comes from ``tables``."""
-        self.source = tables
+        """Count a block's ``(k, N)`` heat-id rows."""
         # A row viewed as one void item is read out as the bytes of the row.
         rows = np.ascontiguousarray(ids).view(np.dtype((np.void, ids.itemsize * tables.n)))
         self.counts.update(rows.ravel().tolist())
-        self.seen += len(ids)
-        self.n_collisions = tables.n
-
-    def count_records(self, records: list[TrajectoryRecord]) -> None:
-        """Count a chunk of records on their heats."""
-        self.counts.update(record.heats for record in records)
-        self.seen += len(records)
-        self.n_collisions = len(records[-1].heats)
 
     def weigh(self, sigmas: np.ndarray) -> None:
         """Add ``exp(-sigma)`` and its square, strictly in shot order.
@@ -802,65 +771,84 @@ class _Tally:
             squares = np.add.accumulate(np.concatenate(([self.exp_sq_sum], w * w)))
         self.exp_sum, self.exp_sq_sum = sums[-1].item(), squares[-1].item()
 
-    def empirical(self, shots: int | None) -> EmpiricalJoint:
-        total = shots if shots is not None else self.seen
-        if total != self.seen:
-            raise ValueError(f"received {self.seen} records, expected {total}")
-        if total == 0:
-            raise ValueError("need at least one record")
+    def summary(self, tables: _SamplerTables, shots: int) -> SampleSummary:
+        """The summary of the ``shots`` shots counted, all from ``tables``."""
         tallies = list(self.counts.values())
-        n = self.n_collisions
-        if self.source is not None:
-            ids = np.frombuffer(b"".join(self.counts), dtype=self.source.code_dtype)
-            codes = _Codes(self.source.heat_fraction, ids.reshape(-1, n), np.array(tallies) / total)
-            distribution = _coded_law(codes, "forward", n, 0.0)
-        else:
-            entries = dict(zip(self.counts, [count / total for count in tallies]))
-            distribution = JointHeatDistribution(entries, "forward", n)
-        empirical = object.__new__(EmpiricalJoint)  # stderr is built on first touch
-        for name, value in (("distribution", distribution), ("shots", total), ("_tallies", tallies)):
-            object.__setattr__(empirical, name, value)
-        return empirical
-
-    def summary(self, shots: int | None) -> SampleSummary:
-        empirical = self.empirical(shots)
-        total = empirical.shots
-        mean = self.exp_sum / total
-        variance = max(self.exp_sq_sum / total - mean * mean, 0.0)
-        return SampleSummary(
-            empirical=empirical,
-            integral_ft_mean=mean,
-            integral_ft_stderr=math.sqrt(variance / total),
-            shots=total,
-        )
+        ids = np.frombuffer(b"".join(self.counts), dtype=tables.code_dtype).reshape(-1, tables.n)
+        codes = _Codes(tables.heat_fraction, ids, np.array(tallies) / shots)
+        law = _coded_law(codes, "forward", tables.n, 0.0)
+        return _summary(law, tallies, shots, self.exp_sum, self.exp_sq_sum)
 
 
-def empirical_joint(
-    records: Iterable[TrajectoryRecord], shots: int | None = None
-) -> EmpiricalJoint:
+def _by_count(keys: dict, tallies: list[int], value: Callable[[int], float]) -> dict:
+    """``value(count)`` for each key of ``keys``, in order, given its count in ``tallies``."""
+    # dict.fromkeys on a dict reuses its stored hashes, so only keys whose
+    # count differs from the most common one are hashed again.
+    common = Counter(tallies).most_common(1)[0][0]
+    result = dict.fromkeys(keys, value(common))
+    for key, count in zip(keys, tallies):
+        if count != common:
+            result[key] = value(count)
+    return result
+
+
+def _summary(
+    law: JointHeatDistribution, tallies: list[int], shots: int, exp_sum: float, exp_sq_sum: float
+) -> SampleSummary:
+    """The summary of ``shots`` shots, ``tallies`` of them on each key of ``law``, in order."""
+    empirical = object.__new__(EmpiricalJoint)
+    empirical.__dict__.update(distribution=law, shots=shots, _tallies=tallies)
+    mean = exp_sum / shots
+    variance = max(exp_sq_sum / shots - mean * mean, 0.0)
+    return SampleSummary(empirical, mean, math.sqrt(variance / shots), shots)
+
+
+def _record_summary(
+    records: Iterable[TrajectoryRecord], shots: int | None, weigh: bool
+) -> SampleSummary:
+    """Count records on their exact heats; with ``weigh``, add ``exp(-sigma)`` and its square.
+
+    Records are pulled ``_BLOCK_SHOTS`` at a time and a chunk is weighed
+    before it is counted, so an OverflowError leaves its whole chunk drawn.
+    """
+    counts: Counter = Counter()
+    exp_sum = exp_sq_sum = 0.0
+    records = iter(records)
+    while chunk := list(islice(records, _BLOCK_SHOTS)):
+        for record in chunk if weigh else ():
+            w = math.exp(-record.sigma)
+            exp_sum += w
+            exp_sq_sum += w * w
+        counts.update(record.heats for record in chunk)
+        n_collisions = len(chunk[-1].heats)
+    tallies = list(counts.values())
+    seen = sum(tallies)
+    total = seen if shots is None else shots
+    if total != seen:
+        raise ValueError(f"received {seen} records, expected {total}")
+    if total == 0:
+        raise ValueError("need at least one record")
+    # dict() copies the Counter with its hashes; dict.fromkeys reuses only an exact dict's.
+    entries = _by_count(dict(counts), tallies, lambda count: count / total)
+    law = JointHeatDistribution(entries, "forward", n_collisions)
+    return _summary(law, tallies, total, exp_sum, exp_sq_sum)
+
+
+def empirical_joint(records: Iterable[TrajectoryRecord], shots: int | None = None) -> EmpiricalJoint:
     """Frequency estimate with exact keys and per-key standard errors.
 
     Records are counted on their exact heats, so equal heat tuples merge
     whatever their source, and keys come in order of first appearance, as
     from :func:`_sample`.  The ``stderr`` map is built when first touched.
     """
-    tally = _Tally()
-    for chunk in _chunks(records):
-        tally.count_records(chunk)
-    return tally.empirical(shots)
+    return _record_summary(records, shots, weigh=False).empirical
 
 
-def summarize_samples(
-    records: Iterable[TrajectoryRecord], shots: int | None = None
-) -> SampleSummary:
+def summarize_samples(records: Iterable[TrajectoryRecord], shots: int | None = None) -> SampleSummary:
     """Aggregate records into the empirical law and the integral-identity mean.
 
     Single pass, nothing retained per shot, so arbitrarily long record
     streams can be summarized.  The law is counted as by
     :func:`empirical_joint`.
     """
-    tally = _Tally()
-    for chunk in _chunks(records):
-        tally.weigh(np.array([record.sigma for record in chunk]))
-        tally.count_records(chunk)
-    return tally.summary(shots)
+    return _record_summary(records, shots, weigh=True)

@@ -5,7 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from heatchain import ModelError, Spectrum, UnitarySpec, distribution_from_json
+from heatchain import (
+    AncillaSpec,
+    ModelConfig,
+    ModelError,
+    Spectrum,
+    UnitarySpec,
+    distribution_from_json,
+    realize_model,
+)
 from heatchain import cli
 from heatchain.cli import dispatch, load_model_file, parse_model
 from test_coded_laws import ZERO_POPULATIONS
@@ -299,6 +307,14 @@ class TestDispatch:
         assert f"error: argument {flag}: must be at least" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("flag", ["--shots", "--workers", "--seed"])
+    def test_sample_flag_not_an_integer_exits_2(self, tmp_path, capsys, flag):
+        path = write_model(tmp_path, RUNNING_EXAMPLE)
+        assert dispatch(["sample", str(path), flag, "x"]) == 2
+        err = capsys.readouterr().err
+        assert f"error: argument {flag}: invalid int value: 'x'" in err
+        assert "Traceback" not in err
+
     def test_cap_flag_enforced(self, tmp_path):
         path = write_model(tmp_path, CHAIN_DOCUMENT)
         assert dispatch(["exact", str(path), "--cap", "3"]) == 2
@@ -345,6 +361,45 @@ def permutation(cycles):
 
 
 CYCLES = "ancillas[0].unitary.cycles"
+BLOCKS = "ancillas[0].unitary.blocks"
+SWAP = {"kind": "partial_swap", "theta": 0.5}
+
+
+def explicit(blocks):
+    return qubit_pair({"kind": "explicit", "blocks": blocks})
+
+
+def with_system(**fields):
+    """The one-collision identity document with these system fields replaced."""
+    document = qubit_pair({"kind": "identity"})
+    return {**document, "system": {**document["system"], **fields}}
+
+
+def with_ancillas(ancillas):
+    return {**qubit_pair({"kind": "identity"}), "ancillas": ancillas}
+
+
+def swap_chain(bad):
+    """A three-collision qubit partial-swap chain, ancilla ``i`` updated with ``bad[i]``."""
+    good = {"energies": ["0", "1"], "beta": 2.0, "unitary": SWAP}
+    return with_ancillas([{**good, **bad.get(i, {})} for i in range(3)])
+
+
+def realize_one(energies, unitary, seed=0):
+    """Realize the one-collision chain of a qubit system and this ancilla, through the library."""
+    ancilla = AncillaSpec(Spectrum.from_values(energies), 2.0, unitary)
+    return realize_model(ModelConfig(Spectrum.from_values(["0", "1"]), 1.0, (ancilla,), seed))
+
+
+def seeded(seed):
+    return {**qubit_pair({"kind": "identity"}), "master_seed": seed}
+
+
+def settings(**fields):
+    return {**qubit_pair({"kind": "identity"}), **fields}
+
+
+NOT_UNITARY = {"1": [[[1, 0], [0, 0]], [[0, 0], [2, 0]]]}
 
 
 @pytest.mark.parametrize(
@@ -409,6 +464,60 @@ CYCLES = "ancillas[0].unitary.cycles"
             lambda: UnitarySpec.haar(-5),
             id="negative-stream-tag",
         ),
+        # Failures of the realization name the first ancilla that fails alone.
+        pytest.param(
+            swap_chain({2: {"energies": ["0", "2"]}}),
+            "ancillas[2].unitary",
+            lambda: realize_one(["0", "2"], UnitarySpec.partial_swap(0.5)),
+            id="non-resonant-swap",
+        ),
+        pytest.param(
+            swap_chain({i: {"unitary": {"kind": "explicit", "blocks": NOT_UNITARY}} for i in (1, 2)}),
+            "ancillas[1].unitary",
+            lambda: realize_one(["0", "1"], UnitarySpec.explicit({"1": [[1, 0], [0, 2]]})),
+            id="explicit-not-unitary",
+        ),
+        pytest.param(
+            swap_chain({1: {"unitary": {"kind": "permutation", "cycles": {"1": [[0, 5]]}}}}),
+            "ancillas[1].unitary",
+            lambda: realize_one(["0", "1"], UnitarySpec.permutation({"1": [[0, 5]]})),
+            id="permutation-index-out-of-range",
+        ),
+        pytest.param(
+            seeded(-1), "master_seed", lambda: realize_one(["0", "1"], UnitarySpec.identity(), -1), id="seed-negative"
+        ),
+        pytest.param(
+            seeded(2**64), "master_seed", lambda: realize_one(["0", "1"], UnitarySpec.identity(), 2**64),
+            id="seed-past-64-bits",
+        ),
+        # Checks of the document that only the command line makes.
+        pytest.param(with_system(beta=True), "system.beta", None, id="number-bool"),
+        pytest.param(with_system(beta="hot"), "system.beta", None, id="number-word"),
+        pytest.param(with_system(beta=[1]), "system.beta", None, id="number-list"),
+        pytest.param(with_system(energies=[]), "system.energies", None, id="energies-empty"),
+        pytest.param(explicit({"1": 5}), f"{BLOCKS}[1]", None, id="matrix-not-list"),
+        pytest.param(explicit({"1": [5]}), f"{BLOCKS}[1][0]", None, id="matrix-row-not-list"),
+        pytest.param(explicit({"1": [[[1]]]}), f"{BLOCKS}[1][0][0]", None, id="matrix-bad-cell"),
+        pytest.param(qubit_pair("swap"), "ancillas[0].unitary", None, id="unitary-not-object"),
+        pytest.param(
+            qubit_pair({"kind": "haar", "stream_tag": 1.5}), "ancillas[0].unitary.stream_tag", None,
+            id="stream-tag-float",
+        ),
+        pytest.param(qubit_pair({"kind": "partial_swap"}), "ancillas[0].unitary.theta", None, id="swap-no-theta"),
+        pytest.param(permutation([[0, 1]]), CYCLES, None, id="cycles-not-object"),
+        pytest.param(permutation({"x": [[0, 1]]}), CYCLES, None, id="cycles-bad-total"),
+        pytest.param(
+            qubit_pair({"kind": "permutation", "shift": 1.5}), "ancillas[0].unitary.shift", None, id="shift-float"
+        ),
+        pytest.param(explicit({}), BLOCKS, None, id="blocks-empty"),
+        pytest.param(explicit({"x": [[[1, 0]]]}), BLOCKS, None, id="blocks-bad-total"),
+        pytest.param([], "model document", None, id="document-not-object"),
+        pytest.param({"ancillas": []}, "system", None, id="system-missing"),
+        pytest.param(with_ancillas([]), "ancillas", None, id="ancillas-empty"),
+        pytest.param(with_ancillas([5]), "ancillas[0]", None, id="ancilla-not-object"),
+        pytest.param(seeded("7"), "master_seed", None, id="seed-str"),
+        pytest.param(settings(enumeration_cap=0), "enumeration_cap", None, id="cap-zero"),
+        pytest.param(settings(enumeration_cap=True), "enumeration_cap", None, id="cap-bool"),
     ],
 )
 def test_malformed_document_exits_2_naming_its_path(tmp_path, capsys, document, path, library_call):

@@ -309,6 +309,24 @@ class TestEmpirical:
         with pytest.raises(ValueError):
             empirical_joint([])
 
+    def test_overflow_leaves_its_whole_chunk_drawn(self):
+        # exp(710) overflows; records are pulled _BLOCK_SHOTS at a time and a
+        # chunk is weighed before it is counted.
+        chunk = sampler._BLOCK_SHOTS
+        records = list(iter_trajectories(resonant_model([2.0]), SamplerConfig(shots=3 * chunk, master_seed=1)))
+        records[chunk + 1] = dataclasses.replace(records[chunk + 1], sigma=-710.0)
+        drawn = []
+
+        def tee():
+            for record in records:
+                drawn.append(record)
+                yield record
+
+        with pytest.raises(OverflowError):
+            summarize_samples(tee(), len(records))
+        assert len(drawn) == 2 * chunk
+        assert empirical_joint(records).shots == len(records)  # the law alone never weighs
+
 
 class TestSamplerConfig:
     def test_validation(self):
