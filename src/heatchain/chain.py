@@ -6,7 +6,9 @@ alone.  The chain of those propagators carries all path probabilities:
 forward paths are weighted by the propagators applied in collision order
 starting from the system's thermal state, backward paths by the same
 matrices with reversed argument order and reversed application order,
-starting again from the thermal state.
+starting again from the thermal state.  Those are the reversed protocol's
+weights only when every propagator keeps detailed balance at its ancilla's
+beta; otherwise a time-reversed collision has its own propagator.
 
 Realization.  :func:`realize_model` groups the collisions by ancilla
 spectrum once, and ``RealizedModel.groups`` keeps one read-only
@@ -35,7 +37,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import NamedTuple, Sequence
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -202,7 +205,7 @@ def backward_path_probability(
 
     The propagators are reused with swapped arguments and applied in
     reverse order, with the thermal weight placed on the path's final
-    level.
+    level.  That is the reversed protocol only under detailed balance.
     """
     if len(levels) != len(propagators) + 1:
         raise ModelError("path must have one more level than there are collisions")
@@ -280,38 +283,22 @@ class RealizedModel:
         return tuple(sorted({a - b for spec in spectra for a in spec.levels for b in spec.levels}))
 
     @cached_property
-    def _heat_ids(self) -> dict[Spectrum, np.ndarray]:
-        """Per distinct spectrum, ``[a, b]`` is the heat id of ``E_a - E_b``; read-only."""
-        lookup = {q: i for i, q in enumerate(self.heat_values)}
-        tables = {}
-        for spectrum in [self.config.system, *(group.spectrum for group in self.groups)]:
-            if spectrum not in tables:
-                levels = spectrum.levels
-                ids = np.array(
-                    [[lookup[a - b] for b in levels] for a in levels],
-                    dtype=np.min_scalar_type(len(lookup) - 1),
-                )
-                ids.flags.writeable = False
-                tables[spectrum] = ids
-        return tables
+    def heat_ids(self) -> Mapping[Spectrum, np.ndarray]:
+        """One read-only table per distinct spectrum, the system's and each group's.
 
-    @cached_property
-    def system_heat_ids(self) -> np.ndarray:
-        """``[a, b]`` is the heat id of the system drop ``a -> b``, ``E_a - E_b``."""
-        return self._heat_ids[self.config.system]
-
-    @cached_property
-    def ancilla_heat_ids(self) -> tuple[np.ndarray, ...]:
-        """Per collision, ``[n, n']`` is the heat id of the ancilla move ``n -> n'``, ``E_n' - E_n``.
-
-        The collisions of one group share one read-only table.
+        ``[a, b]`` is the heat id of ``E_a - E_b``: a system drop ``a -> b``.
+        An ancilla move ``n -> n'`` has heat ``E_n' - E_n``, so it reads the
+        transposed table.
         """
-        tables = [None] * len(self.stages)
-        for group in self.groups:
-            ids = self._heat_ids[group.spectrum].T
-            for i in group.collisions:
-                tables[i] = ids
-        return tuple(tables)
+        lookup = {q: i for i, q in enumerate(self.heat_values)}
+        dtype = np.min_scalar_type(len(lookup) - 1)
+        tables = {
+            s: np.array([[lookup[a - b] for b in s.levels] for a in s.levels], dtype=dtype)
+            for s in [self.config.system, *(group.spectrum for group in self.groups)]
+        }
+        for ids in tables.values():
+            ids.flags.writeable = False
+        return MappingProxyType(tables)
 
 
 class _Group:

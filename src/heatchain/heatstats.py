@@ -345,12 +345,8 @@ class _Layer(NamedTuple):
 
 
 def _system_layers(realized: RealizedModel, stages: Sequence[CollisionStage]) -> list[_Layer]:
-    """The propagator columns of ``stages``, in the order given; a step drops ``a -> b``.
-
-    A stage's layer is the same in both directions, so a backward sweep
-    reads the forward layers reversed.
-    """
-    heat = realized.system_heat_ids
+    """The propagator columns of ``stages``, in the order given; a step drops ``a -> b``."""
+    heat = realized.heat_ids[realized.config.system]
     layers = []
     for stage in stages:
         steps = stage.propagator.matrix.T  # [a, b] = M[b, a]
@@ -384,7 +380,7 @@ def _ancilla_layers(realized: RealizedModel) -> list[_Layer]:
         fan = fan.reshape(-1, dim)
         columns = (
             index.system[out].astype(np.min_scalar_type(dim - 1)),
-            realized.ancilla_heat_ids[group.collisions[0]][n_in, n_out],
+            realized.heat_ids[group.spectrum].T[n_in, n_out],
             q[k, n_in],
             probs[k, r, c],
         )
@@ -522,16 +518,21 @@ def _sweep(realized: RealizedModel, layers: list[_Layer], direction: str) -> Joi
 def _system_law(
     realized: RealizedModel, layers: list[_Layer], cap: int, direction: str
 ) -> JointHeatDistribution:
-    """The law of the system paths through ``layers``, once they fit within ``cap``."""
+    """The law of the system paths through ``layers``, once they fit within ``cap``.
+
+    ``layers`` are in collision order.  A stage's layer is the same in both
+    directions, so the backward law sweeps them reversed.
+    """
+    if direction == "backward":
+        layers = layers[::-1]
     _check_cap(realized, layers, cap, "system-path")
     return _sweep(realized, layers, direction)
 
 
 def _exact_joint(model: ModelConfig, cap: int, direction: str) -> JointHeatDistribution:
-    """Enumerate every system path, with the stages in collision order or reversed."""
+    """Enumerate every system path of the chain, forward or backward."""
     realized = realize_model(model)
-    stages = realized.stages if direction == "forward" else realized.stages[::-1]
-    return _system_law(realized, _system_layers(realized, stages), cap, direction)
+    return _system_law(realized, _system_layers(realized, realized.stages), cap, direction)
 
 
 def exact_forward_joint(model: ModelConfig, cap: int = DEFAULT_ENUMERATION_CAP) -> JointHeatDistribution:
@@ -545,10 +546,11 @@ def exact_forward_joint(model: ModelConfig, cap: int = DEFAULT_ENUMERATION_CAP) 
 def exact_backward_joint(model: ModelConfig, cap: int = DEFAULT_ENUMERATION_CAP) -> JointHeatDistribution:
     """Enumerate the reversed protocol exactly.
 
-    Rethermalizing everything and conjugating the interactions leaves the
-    per-collision propagators unchanged; the backward process is the same
-    chain applied in reverse collision order, starting again from the
-    system's thermal state.  Keys are stored in backward chronological
+    The backward process is the same chain applied in reverse collision
+    order, starting again from the system's thermal state.  Conjugating an
+    interaction leaves its propagator unchanged only when the propagator
+    keeps detailed balance at its ancilla's beta; otherwise this is not
+    the time-reversed protocol.  Keys are stored in backward chronological
     order (slot 0 is the heat delivered to the last ancilla); each slot is
     positive when energy leaves the system during that backward collision,
     which makes it the negated forward-trajectory heat of the matching
@@ -621,7 +623,8 @@ def single_collision_distribution(
     marginal of the joint distribution; the two only coincide for i = 1.
     It is swept over stage ``i`` of the chain's own realization, which
     realizes the blocks of ``single_collision_model(model, i)`` bit for
-    bit, and keyed on the chain's registry.
+    bit, and keyed on the chain's registry.  So it realizes the whole
+    chain, and raises for a fault at any collision, not only at ``i``.
     """
     if not 1 <= i <= model.n_collisions:
         raise ValueError(f"collision index {i} out of range 1..{model.n_collisions}")
@@ -789,9 +792,9 @@ def verify_partial_decomposition(
     realized = realize_model(model)
     layers = _system_layers(realized, realized.stages)
     forward = _system_law(realized, layers, cap, "forward")
-    backward = _system_law(realized, layers[::-1], cap, "backward")
+    backward = _system_law(realized, layers, cap, "backward")
     last_single = _system_law(realized, layers[-1:], cap, "forward")
-    shorter_backward = _system_law(realized, layers[-2::-1], cap, "backward")
+    shorter_backward = _system_law(realized, layers[:-1], cap, "backward")
     return _partial_decomposition(forward, backward, last_single, shorter_backward, tolerance)
 
 

@@ -215,7 +215,7 @@ class _SamplerTables:
         self.anc_columns = np.full((width - 1, n), np.inf)
         self.log_q = np.zeros((n, width))
         self.heat_fraction: tuple[Fraction, ...] = realized.heat_values
-        self.code_dtype = realized.system_heat_ids.dtype
+        self.code_dtype = realized.heat_ids[model.system].dtype
         self.anc_heat_id = np.zeros((n, width, width), dtype=self.code_dtype)
         inputs = np.zeros(n, dtype=np.intp)  # joint inputs per collision
         for group in realized.groups:
@@ -223,7 +223,7 @@ class _SamplerTables:
             d = q.shape[1]
             self.anc_columns[: d - 1, at] = np.cumsum(q, axis=1)[:, :-1].T
             self.log_q[at, :d] = _logs(q.ravel()).reshape(q.shape)
-            self.anc_heat_id[at, :d, :d] = realized.ancilla_heat_ids[at[0]]
+            self.anc_heat_id[at, :d, :d] = realized.heat_ids[group.spectrum].T
             inputs[at] = dim * d
 
         # One row per joint input of each collision, in collision order and
@@ -254,7 +254,7 @@ class _SamplerTables:
             at, row, out = at[k], rows[k, r], index.out[entry]
             weight[row, slot] = w
             level[row, slot] = index.system[out]
-            heat[row, slot] = realized.system_heat_ids[index.system[r], index.system[out]]
+            heat[row, slot] = realized.heat_ids[model.system][index.system[r], index.system[out]]
             pair[row, slot] = index.ancilla[r] * width + index.ancilla[out]
             sigma_term[row, slot] = beta_diff[at] * heat_value[heat[row, slot]]
             log_p_term[row, slot] = self.log_q[at, index.ancilla[r]] + _logs(w)

@@ -137,6 +137,30 @@ def test_chain_laws_match_sub_models_on_named_models(name):
     assert_chain_laws_match_sub_models(NAMED_MODELS[name])
 
 
+def assert_backward_law_reverses_collision_order(model):
+    # _system_law takes layers in collision order and sweeps a backward law
+    # reversed; without the last layer, that is the truncated chain's law.
+    realized = realize_model(model)
+    layers = heatstats._system_layers(realized, realized.stages)
+    cap = heatstats.DEFAULT_ENUMERATION_CAP
+    backward = heatstats._system_law(realized, layers, cap, "backward")
+    assert bits(backward) == bits(exact_backward_joint(model))
+    n = model.n_collisions
+    if n >= 2:
+        shorter = heatstats._system_law(realized, layers[:-1], cap, "backward")
+        assert bits(shorter) == bits(exact_backward_joint(truncated_model(model, n - 1)))
+
+
+@given(models(max_collisions=4))
+def test_backward_law_reverses_collision_order(model):
+    assert_backward_law_reverses_collision_order(model)
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_MODELS))
+def test_backward_law_reverses_collision_order_on_named_models(name):
+    assert_backward_law_reverses_collision_order(NAMED_MODELS[name])
+
+
 def test_single_collision_index_out_of_range():
     model = two_spectrum_chain()
     for i in (0, -1, 5):

@@ -532,6 +532,35 @@ def test_malformed_document_exits_2_naming_its_path(tmp_path, capsys, document, 
 
 
 @pytest.mark.parametrize(
+    "unitary, path, library_call",
+    [
+        pytest.param(
+            {"kind": "permutation", "cycles": {"x": [[0, 1]]}, "shift": 1.5},
+            "ancillas[0].unitary.shift",
+            lambda: UnitarySpec.permutation({"x": [[0, 1]]}),
+            id="bad-total-and-shift",
+        ),
+        pytest.param(
+            {"kind": "explicit", "blocks": {"x": [[[1, 0]]], "1": 5}},
+            f"{BLOCKS}[1]",
+            lambda: UnitarySpec.explicit({"x": [[1]]}),
+            id="bad-total-and-matrix",
+        ),
+    ],
+)
+def test_bad_energy_total_is_reported_after_the_documents_own_checks(
+    tmp_path, capsys, unitary, path, library_call
+):
+    # The library alone parses each cycles or blocks total, so a document
+    # with a bad total and a structural fault reports the structural one.
+    model = write_model(tmp_path, qubit_pair(unitary))
+    assert dispatch(["validate", str(model)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
+    with pytest.raises(ModelError, match="invalid rational 'x'"):
+        library_call()
+
+
+@pytest.mark.parametrize(
     "energies, error",
     [
         # Equal to the valid ["0", 1] as values, but a float and a boolean.

@@ -236,9 +236,9 @@ def assert_matches_reference(model: ModelConfig) -> None:
             stage.spectrum.dim,
         )
     assert realized.heat_values == ref["heat_values"]
-    assert same(realized.system_heat_ids, ref["system_heat_ids"])
-    for ids, want in zip(realized.ancilla_heat_ids, ref["ancilla_heat_ids"], strict=True):
-        assert same(ids, want)
+    assert same(realized.heat_ids[model.system], ref["system_heat_ids"])
+    for anc, want in zip(model.ancillas, ref["ancilla_heat_ids"], strict=True):
+        assert same(realized.heat_ids[anc.spectrum].T, want)
 
     tables = sampler._SamplerTables(model)
     for name, want in reference_tables(model, ref).items():
@@ -384,15 +384,17 @@ def test_collisions_on_one_spectrum_share_shells_and_tables(monkeypatch):
     by_spectrum: dict[Spectrum, list[int]] = {}
     for i, anc in enumerate(model.ancillas):
         by_spectrum.setdefault(anc.spectrum, []).append(i)
+    assert set(realized.heat_ids) == {model.system, *by_spectrum}  # one table per spectrum
     for collisions in by_spectrum.values():
         first = collisions[0]
         for i in collisions:
             assert realized.stages[i].shells is realized.stages[first].shells
-            assert realized.ancilla_heat_ids[i] is realized.ancilla_heat_ids[first]
+            ids = realized.heat_ids[model.ancillas[i].spectrum]
+            assert ids is realized.heat_ids[realized.stages[first].spectrum]
             assert realized.stages[i].tensor.position is realized.stages[first].tensor.position
-    assert realized.system_heat_ids.flags.writeable is False
+    assert realized.heat_ids[model.system].flags.writeable is False
     for i, stage in enumerate(realized.stages):
-        assert realized.ancilla_heat_ids[i].flags.writeable is False
+        assert realized.heat_ids[stage.spectrum].flags.writeable is False
         for array in (*stage.unitary.blocks, *stage.tensor.probs, stage.propagator.matrix):
             assert array.flags.writeable is False
         for array in unitaries._shell_index(stage.shells)[:5]:

@@ -1,21 +1,27 @@
 import math
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
 
 from heatchain import (
+    AncillaSpec,
     CollisionUnitary,
+    ModelConfig,
     ModelError,
     Spectrum,
+    TransitionTensor,
     UnitarySpec,
     build_energy_shells,
     haar_unitary,
+    realize_model,
     realize_unitary,
     transition_tensor,
     validate_energy_preservation,
 )
 from heatchain.streams import substream
+from heatchain.unitaries import _shell_index
 
 
 def spectrum(*values) -> Spectrum:
@@ -294,6 +300,16 @@ class TestTransitionTensor:
         )
         assert tensor.entry(0, 0, 1, 1) == 0.0
         assert tensor.entry(1, 1, 0, 0) == 0.0
+
+    def test_position_defaults_to_the_shells_index(self):
+        system, ancilla = spectrum("0", "1/3", "2/3"), spectrum("0", "1/3")
+        model = ModelConfig(system, 1.0, (AncillaSpec(ancilla, 0.5, UnitarySpec.haar()),), 11)
+        stage = realize_model(model).stages[0]
+        built = TransitionTensor(stage.shells, stage.tensor.probs, system.dim, ancilla.dim)
+        assert built.position == _shell_index(stage.shells).position
+        levels = (range(system.dim), range(ancilla.dim))
+        for x in product(*levels, *levels):
+            assert built.entry(*x) == stage.tensor.entry(*x)
 
     def test_doubly_stochastic_within_shells(self):
         shells = build_energy_shells(spectrum("0", "1", "2"), spectrum("0", "1", "2"))
