@@ -57,18 +57,20 @@ only in their right-hand sides.
 
 Text output
 -----------
-The CSV and JSON exports and the sampler's ``--dump`` lines are written by one
-block formatter, ``_text_block``: a block of rows (512 keys of an export, one
-256-shot slice of a dump) is a ``(rows, cells)`` object array of text, joined
-once.  A list column is cut into runs of up to ``c`` consecutive ids; a run's
-ids, read as one number, index a table of the run's joined texts with
-separators appended (``_list_tables``), so a row of N items takes about N / c
-lookups.  An export's masses are formatted 1024 keys at a time, each distinct
-one once where neighbours repeat (as a sampled law's counts do), as ``repr``
-spells them: by :mod:`heatchain.floattext`, which writes them for the whole
-array at once, from ``_FLOAT_TEXTS_MIN`` masses, else by ``repr``.  JSON spells
-finite floats as ``repr`` does; a span with a ``nan`` or ``inf`` mass goes
-through the JSON encoder, so ``NaN`` and ``Infinity`` follow JSON's rules.  The
+The CSV and JSON exports and the sampler's ``--dump`` lines are laid out by one
+block formatter, ``_text_cells``: a block of rows (512 keys of an export, one
+sampler block of a dump) is a ``(rows, cells)`` object array of text, joined
+once (``_text_block``), or 256 dump lines at a time.  A list column is cut
+into runs of up to ``c`` consecutive ids; a run's ids, read as one number,
+index a table of the run's joined texts with separators appended
+(``_list_tables``), so a row of N items takes about N / c lookups.  Floats,
+an export's masses 1024 keys at a time (each distinct one once where
+neighbours repeat, as a sampled law's counts do) and a dump block's sigmas,
+are spelled by ``_float_cells`` as ``repr`` spells them: by
+:mod:`heatchain.floattext`, which writes them for the whole array at once,
+from ``_FLOAT_TEXTS_MIN`` values, all finite; else by the writer's own
+encoder.  JSON spells finite floats as ``repr`` does, and its encoder
+(``_json_floats``) spells ``nan`` and ``inf`` as ``NaN`` and ``Infinity``.  The
 JSON export has the bytes of ``json.dumps(distribution_to_json(dist),
 indent=2)``, without the dict or the indenting encoder.
 """
@@ -130,7 +132,7 @@ HeatKey = tuple[Fraction, ...]
 _CODE_LIMIT = 2**63  # int64 key codes stay below this
 _EXPORT_BLOCK_ROWS = 512  # keys per block of exported text
 _EXPORT_SPAN_ROWS = 1024  # keys whose masses are formatted together
-_FLOAT_TEXTS_MIN = 256  # floattext's threshold: fewer masses are formatted by repr without importing it
+_FLOAT_TEXTS_MIN = 256  # floattext's threshold: fewer floats are formatted by their writer without importing it
 _RUN_CELLS = 256  # most cells in a table of list runs (see _list_tables)
 _BLOCK_PATHS = 2**14  # paths per frontier expansion in _path_blocks
 _DENSE_CODES = 8  # _first_occurrence groups through a code table up to this many codes per element
@@ -909,8 +911,8 @@ def _list_cells(ids: np.ndarray, tables: tuple[np.ndarray, np.ndarray, np.ndarra
     return cells
 
 
-def _text_block(rows: int, parts: Sequence) -> str:
-    """A block of rows as one string, built by one join.
+def _text_cells(rows: int, parts: Sequence) -> np.ndarray:
+    """A block of rows as a ``(rows, cells)`` object array of text, a row's cells in order.
 
     A part is one cell that every row shares (a ``str``), or a ``(rows,)``
     or ``(rows, k)`` object array of cells.  Cells carry their own
@@ -923,13 +925,36 @@ def _text_block(rows: int, parts: Sequence) -> str:
     for column, width in zip(columns, widths):
         cells[:, at : at + width] = column
         at += width
-    return "".join(cells.ravel().tolist())
+    return cells
+
+
+def _text_block(rows: int, parts: Sequence) -> str:
+    """A block of rows, laid out by :func:`_text_cells`, as one string built by one join."""
+    return "".join(_text_cells(rows, parts).ravel().tolist())
+
+
+def _json_floats(values: list) -> list[str]:
+    """JSON's texts of floats: ``repr``'s for finite ones, ``NaN``, ``Infinity`` and ``-Infinity``."""
+    return json.dumps(values)[1:-1].split(", ")
+
+
+def _float_cells(values: np.ndarray, texts: Callable) -> np.ndarray:
+    """Text cells of a float array: finite values as ``repr`` spells them, others by ``texts``.
+
+    From ``_FLOAT_TEXTS_MIN`` values, all finite, :mod:`heatchain.floattext`
+    writes them for the array at once; otherwise ``texts`` (a list of floats
+    -> texts) writes every value, so a ``nan`` or ``inf`` follows its rules.
+    """
+    if len(values) >= _FLOAT_TEXTS_MIN and np.isfinite(values).all():
+        from .floattext import float_texts
+        return _cells(float_texts(values))
+    return _cells(texts(values.tolist()))
 
 
 def _export_blocks(dist: JointHeatDistribution, texts: Callable) -> Iterator[tuple]:
     """Id rows in key order, ``_EXPORT_BLOCK_ROWS`` keys at a time, and cells of their masses' texts.
 
-    Finite masses are spelled as ``repr`` spells them, others by ``texts`` (a list of floats -> texts).
+    The masses are spelled by :func:`_float_cells`, ``texts`` writing a span with a non-finite one.
     """
     _, ids, masses = _codes(dist)
     order = _key_order(ids)
@@ -937,12 +962,7 @@ def _export_blocks(dist: JointHeatDistribution, texts: Callable) -> Iterator[tup
         span = order[start : start + _EXPORT_SPAN_ROWS]
         bits = masses[span].view(np.int64)  # repeated by neighbours, as a sampled law's counts are:
         bits, at = np.unique(bits, return_inverse=True) if (bits[1:] == bits[:-1]).any() else (bits, ...)
-        values = bits.view(float)  # one text per distinct mass
-        if len(values) >= _FLOAT_TEXTS_MIN and np.isfinite(values).all():
-            from .floattext import float_texts
-            cells = _cells(float_texts(values))[at]
-        else:
-            cells = _cells(texts(values.tolist()))[at]
+        cells = _float_cells(bits.view(float), texts)[at]  # one text per distinct mass
         for block in range(0, len(span), _EXPORT_BLOCK_ROWS):
             yield ids[span[block : block + _EXPORT_BLOCK_ROWS]], cells[block : block + _EXPORT_BLOCK_ROWS]
 
@@ -999,7 +1019,7 @@ def _distribution_json_text(dist: JointHeatDistribution) -> str:
     )
     opening = ',\n    {\n      "heats": ' + ("[\n        " if ids.shape[1] else '[],\n      "probability": ')
     parts = [head[: -len("]\n}")]]
-    for rows, probs in _export_blocks(dist, lambda masses: json.dumps(masses)[1:-1].split(", ")):
+    for rows, probs in _export_blocks(dist, _json_floats):
         parts.append(_text_block(len(rows), [opening, _list_cells(rows, heat_tables), probs, "\n    }"]))
     parts[1] = parts[1][1:]  # no comma before the first entry
     parts.append("\n  ]\n}\n")

@@ -29,13 +29,15 @@ block, and a ConsistencyError is raised before anything of the offending
 slice is counted, dumped or yielded, as if blocks held ``_BLOCK_SHOTS``
 shots.
 
-The command line samples without records: ``_sample`` counts each slice's
-heat-id rows as bytes in a ``_Tally``, adds ``exp(-sigma)`` in shot order
-and writes the slice's dump lines, building no per-shot object and no
-Fraction key.  ``summarize_samples`` is the plain reference over the
-``TrajectoryRecord`` values that ``iter_trajectories`` reads off the same
-blocks: a ``Counter`` of their exact heats, and ``exp(-sigma)`` added a
-record at a time, so both routes give the same law and the same sums.
+The command line samples without records: ``_sample`` writes each slice's
+dump lines, counts its heat-id rows as bytes in a ``_Tally`` and adds
+``exp(-sigma)`` in shot order, building no per-shot object and no Fraction
+key.  The dump cells (levels, pairs, heats and sigmas) are laid out once for
+a whole block and joined a slice at a time.  ``summarize_samples`` is the
+plain reference over the ``TrajectoryRecord`` values that
+``iter_trajectories`` reads off the same blocks: a ``Counter`` of their
+exact heats, and ``exp(-sigma)`` added a record at a time, so both routes
+give the same law and the same sums.
 """
 
 from __future__ import annotations
@@ -58,15 +60,16 @@ from .heatstats import (
     JointHeatDistribution,
     _augmented_layers,
     _Codes,
-    _cells,
     _coded_law,
     _codes,
     _exponents,
+    _float_cells,
+    _json_floats,
     _list_cells,
     _list_tables,
     _logs,
     _path_blocks,
-    _text_block,
+    _text_cells,
     exact_forward_joint,
 )
 from .model import (
@@ -373,9 +376,11 @@ def _advance(tables: _SamplerTables, u: np.ndarray) -> tuple[np.ndarray, ...]:
     # Sigma, its log form and the log path probability, one at a time: row 0
     # of ``terms`` holds the starting value and row 1 + i collision i's term,
     # taken straight in (mode="clip" skips the buffering of mode="raise";
-    # every index is in range).  Rows are added one whole row per call,
-    # strictly in collision order, as a loop adds: np.sum adds pairwise, and
-    # np.cumsum runs down one column at a time.
+    # every index is in range).  Down the rows of a block of two or more
+    # shots, np.add.reduce adds row after row, each into every shot's running
+    # total, strictly in collision order as a loop adds; one shot's terms are
+    # a single contiguous column, which it would add pairwise, so that column
+    # is accumulated in order instead.
     terms = np.empty((n + 1, k))
     totals = []
     with np.errstate(invalid="ignore"):  # -inf logs of empty levels, as with floats
@@ -387,9 +392,7 @@ def _advance(tables: _SamplerTables, u: np.ndarray) -> tuple[np.ndarray, ...]:
         ):
             terms[0] = first
             table.take(index, out=terms[1:], mode="clip")
-            totals.append(terms[0].copy())
-            for row in terms[1:]:
-                totals[-1] += row
+            totals.append(np.add.reduce(terms, axis=0) if k > 1 else np.add.accumulate(terms)[-1])
         sigma, sigma_log_form, log_p = totals
         sigma_log_form -= tables.log_p0[alphas[:, -1]]
         failed = np.flatnonzero(
@@ -449,26 +452,32 @@ def _dump_text(
     pair_codes: np.ndarray,
     ids: np.ndarray,
     sigma: np.ndarray,
-) -> str:
-    """One JSON line per row of :func:`_advance`'s arrays: levels, ancilla pairs, exact heats, sigma.
+) -> Iterator[str]:
+    """The JSON lines of the rows of :func:`_advance`'s arrays, one text per ``_BLOCK_SHOTS`` rows.
 
-    Each list is read from the tables' dump-line run cells by fancy indexing,
-    the sigmas are formatted by one ``json.dumps`` call, and the block is
-    joined once, so a line has the bytes ``json.dumps`` gives the shot's
-    record as a dict, which ``cli._dump_line`` writes for a record.
+    A line holds a shot's levels, ancilla pairs, exact heats and sigma.  The
+    cells of every row are laid out once for the whole block, on the first
+    text asked for: each list read from the tables' dump-line run cells by
+    fancy indexing, the sigmas spelled as the JSON encoder spells them by
+    ``heatstats._float_cells`` (through :mod:`heatchain.floattext` from
+    ``_FLOAT_TEXTS_MIN`` finite values).  Each slice of rows is then joined
+    once, so a line has the bytes ``json.dumps`` gives the shot's record as
+    a dict, which ``cli._dump_line`` writes for a record.
     """
     level_cells, pair_cells, heat_cells = tables.dump_cells
-    return _text_block(
+    cells = _text_cells(
         len(sigma),
         [
             '{"alphas": [',
             _list_cells(alphas, level_cells),
             _list_cells(pair_codes, pair_cells),
             _list_cells(ids, heat_cells),
-            _cells(json.dumps(sigma.tolist())[1:-1].split(", ")),
+            _float_cells(sigma, _json_floats),
             "}\n",
         ],
     )
+    for first in range(0, len(cells), _BLOCK_SHOTS):
+        yield "".join(cells[first : first + _BLOCK_SHOTS].ravel().tolist())
 
 
 def _block_uniforms(
@@ -551,18 +560,20 @@ def _sample(
     """Summarize ``config.shots`` shots straight from their blocks, as records would be.
 
     With ``dump``, the dump lines of each ``_BLOCK_SHOTS``-shot slice of a
-    block are passed to it before the slice is counted.  A ConsistencyError
-    leaves the lines of the earlier slices dumped, as a record stream would.
+    block are passed to it before the slice is counted and weighed, their
+    cells laid out once for the block.  A ConsistencyError leaves the lines
+    of the earlier slices dumped, as a record stream would, and an
+    OverflowError of ``exp(-sigma)`` the lines up to its own slice's.
     """
     tables = _tables(model)
     tally = _Tally()
-    for block in _blocks(tables, config):
-        for first in range(0, len(block[0]), _BLOCK_SHOTS):
-            alphas, pair_codes, ids, sigma, _ = (a[first : first + _BLOCK_SHOTS] for a in block)
-            if dump is not None:
-                dump(_dump_text(tables, alphas, pair_codes, ids, sigma))
-            tally.count_block(tables, ids)
-            tally.weigh(sigma)
+    for alphas, pair_codes, ids, sigma, _ in _blocks(tables, config):
+        texts = None if dump is None else _dump_text(tables, alphas, pair_codes, ids, sigma)
+        for first in range(0, len(sigma), _BLOCK_SHOTS):
+            if texts is not None:
+                dump(next(texts))
+            tally.count_block(tables, ids[first : first + _BLOCK_SHOTS])
+            tally.weigh(sigma[first : first + _BLOCK_SHOTS])
     return tally.summary(tables, config.shots)
 
 

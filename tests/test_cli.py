@@ -447,6 +447,13 @@ NOT_UNITARY = {"1": [[[1, 0], [0, 0]], [[0, 0], [2, 0]]]}
             id="blocks-total-twice",
         ),
         pytest.param(
+            permutation({"x": [[0, 1]]}), CYCLES, lambda: UnitarySpec.permutation({"x": [[0, 1]]}),
+            id="cycles-bad-total",
+        ),
+        pytest.param(
+            explicit({"x": [[[1, 0]]]}), BLOCKS, lambda: UnitarySpec.explicit({"x": [[1]]}), id="blocks-bad-total"
+        ),
+        pytest.param(
             qubit_pair({"kind": "identity"}, ["0", "1e400"]),
             "system.energies",
             lambda: Spectrum.from_values(["0", "1e400"]),
@@ -505,12 +512,10 @@ NOT_UNITARY = {"1": [[[1, 0], [0, 0]], [[0, 0], [2, 0]]]}
         ),
         pytest.param(qubit_pair({"kind": "partial_swap"}), "ancillas[0].unitary.theta", None, id="swap-no-theta"),
         pytest.param(permutation([[0, 1]]), CYCLES, None, id="cycles-not-object"),
-        pytest.param(permutation({"x": [[0, 1]]}), CYCLES, None, id="cycles-bad-total"),
         pytest.param(
             qubit_pair({"kind": "permutation", "shift": 1.5}), "ancillas[0].unitary.shift", None, id="shift-float"
         ),
         pytest.param(explicit({}), BLOCKS, None, id="blocks-empty"),
-        pytest.param(explicit({"x": [[[1, 0]]]}), BLOCKS, None, id="blocks-bad-total"),
         pytest.param([], "model document", None, id="document-not-object"),
         pytest.param({"ancillas": []}, "system", None, id="system-missing"),
         pytest.param(with_ancillas([]), "ancillas", None, id="ancillas-empty"),

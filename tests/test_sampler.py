@@ -552,7 +552,7 @@ class TestCraftedUniforms:
             tables, crafted_rows(ReferenceTables(model))
         )
         assert [x.hex() for x in sigma.tolist()] == ["0x0.0p+0"] * len(sigma)
-        lines = sampler._dump_text(tables, alphas, pair_codes, ids, sigma).splitlines()
+        lines = "".join(sampler._dump_text(tables, alphas, pair_codes, ids, sigma)).splitlines()
         assert all(line.endswith('"sigma": 0.0}') for line in lines)
 
 
