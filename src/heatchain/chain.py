@@ -18,17 +18,18 @@ built once per group and shared, read-only, by its collisions: the shells
 tuple (cached by ``build_energy_shells``, so sub-models reuse it too), its
 flat index arrays and its heat-id table.  What differs per collision is
 stacked, one row per collision: its blocks as one flat row, shell by
-shell, and its thermal populations.  The group's thermal states come from
-one ``np.exp`` over its betas by levels; its identity and partial-swap
-rows are filled at once, after one check of the swap's shell structure;
-the Haar shells of all collisions are drawn each from its own stream and
-put through one QR and one phase fix per shell size; and the squared
-moduli, the exit-sum check and the propagators (one ordered
-``np.add.at``) are computed for the whole group.  A stage's ``unitary``
-and ``tensor`` are read-only views of its group's rows, built when first
-read, so routes that never read them (``sample``, ``exact``) never build
-them.  Every number is the one a collision-by-collision realization gives,
-bit for bit, whatever the other collisions of a stack are.
+shell, and its thermal populations.  The group's thermal states are the
+rows of ``model._gibbs_rows`` over its betas, the one routine behind every
+Gibbs state; its identity and partial-swap rows are filled at once, after
+one check of the swap's shell structure; the Haar shells of all collisions
+are drawn each from its own stream and put through one QR and one phase
+fix per shell size; and the squared moduli, the exit-sum check and the
+propagators (one ordered ``np.add.at``) are computed for the whole group.
+A stage's ``unitary`` and ``tensor`` are read-only views of its group's
+rows, built when first read, so routes that never read them (``sample``,
+``exact``) never build them.  Every number is the one a
+collision-by-collision realization gives, bit for bit, whatever the other
+collisions of a stack are.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .model import ModelConfig, ModelError, Spectrum, ThermalState, gibbs_state
+from .model import ModelConfig, ModelError, Spectrum, ThermalState, _gibbs_rows, gibbs_state
 from .streams import substream
 from .unitaries import (
     CollisionUnitary,
@@ -373,25 +374,18 @@ def realize_model(config: ModelConfig) -> RealizedModel:
         probs, failing = _jump_probabilities(group.shells, rows)
         if (failing >= 0).any():  # a defect: only explicit blocks can miss, and they are checked above
             raise _not_unitary(group.shells[failing[failing >= 0][0]])
-        # The thermal states of gibbs_state, one row per collision.
-        x = -np.array(group.betas, dtype=float)[:, None] * spectrum.as_floats()
-        shift = x.max(axis=1)
-        weights = np.exp(x - shift[:, None])
-        totals = weights.sum(axis=1)
-        populations = weights / totals[:, None]
+        populations, log_zs = _gibbs_rows(spectrum, group.betas)
         matrices = _propagator_stack(group.index, config.system.dim, probs, populations)
         for array in (rows, probs, populations):
             array.flags.writeable = False
         record = SpectrumGroup(spectrum, group.shells, tuple(group.positions), probs, rows, populations)
-        for k, (i, beta, matrix, offset, total) in enumerate(
-            zip(group.positions, group.betas, matrices, shift.tolist(), totals.tolist())
-        ):
+        for k, (i, beta, matrix, log_z) in enumerate(zip(group.positions, group.betas, matrices, log_zs)):
             stages[i] = CollisionStage(
                 index=i + 1,
                 spectrum=spectrum,
                 beta=beta,
                 shells=group.shells,
-                ancilla_state=ThermalState(float(beta), populations[k], offset + math.log(total)),
+                ancilla_state=ThermalState(float(beta), populations[k], log_z),
                 propagator=Propagator(matrix=matrix, collision_index=i + 1),
                 group=record,
                 row=k,

@@ -162,6 +162,9 @@ class JointHeatDistribution:
     def __post_init__(self) -> None:
         if self.direction not in ("forward", "backward"):
             raise ModelError(f"unknown direction {self.direction!r}")
+        for key in self.entries:  # a law built from codes skips this: its id rows share one width
+            if len(key) != self.n_collisions:
+                raise ModelError(f"heat key {key!r} has length {len(key)}, not n_collisions={self.n_collisions}")
 
     def __getattr__(self, name: str):
         # Reached only for attributes never set: a law built from codes
@@ -216,13 +219,12 @@ def _codes(dist: JointHeatDistribution) -> _Codes:
         values = tuple(sorted(set(objects.values())))
         rank = {q: r for r, q in enumerate(values)}
         id_of = {i: rank[q] for i, q in objects.items()}
-        width = len(next(iter(entries))) if entries else dist.n_collisions
         flat = np.fromiter(
             map(id_of.__getitem__, map(id, chain.from_iterable(entries))),
             dtype=_id_dtype(len(values)),
         )
         masses = np.fromiter(entries.values(), dtype=float, count=len(entries))
-        codes = _Codes(values, flat.reshape(len(entries), width), masses)
+        codes = _Codes(values, flat.reshape(len(entries), dist.n_collisions), masses)
         object.__setattr__(dist, "_codes", codes)
     return codes
 
@@ -858,6 +860,8 @@ def integral_ft_expectation(forward: JointHeatDistribution, model: ModelConfig) 
 
     Equals 1 (up to pruning) whenever the exchange identity holds.
     """
+    if forward.n_collisions != model.n_collisions:
+        raise ModelError("distribution and model collision counts differ")
     deltas = [beta - model.system_beta for beta in model.ancilla_betas]
     values, ids, masses = _codes(forward)
     exponents = _exponents(values, ids, deltas)

@@ -131,19 +131,22 @@ def gibbs_state(spectrum: Spectrum, beta: float) -> ThermalState:
     """Thermal populations ``exp(-beta*E_j)/Z`` with the log-sum-exp shift.
 
     beta may be zero (uniform populations) or negative; it only has to be
-    finite.
+    finite.  The one-row case of :func:`_gibbs_rows`.
     """
     if not math.isfinite(beta):
         raise ModelError(f"inverse temperature must be finite, got {beta!r}")
-    x = -beta * spectrum.as_floats()
-    shift = float(x.max())
-    weights = np.exp(x - shift)
-    total = float(weights.sum())
-    return ThermalState(
-        beta=float(beta),
-        populations=weights / total,
-        log_z=shift + math.log(total),
-    )
+    populations, (log_z,) = _gibbs_rows(spectrum, [beta])
+    return ThermalState(beta=float(beta), populations=populations[0], log_z=log_z)
+
+
+def _gibbs_rows(spectrum: Spectrum, betas: Sequence[float]) -> tuple[np.ndarray, list[float]]:
+    """Every Gibbs state: the populations at each of ``betas``, a row each, and each ``log Z``."""
+    x = -np.array(betas, dtype=float)[:, None] * spectrum.as_floats()
+    shift = x.max(axis=1)
+    weights = np.exp(x - shift[:, None])
+    totals = weights.sum(axis=1)
+    log_z = [offset + math.log(total) for offset, total in zip(shift.tolist(), totals.tolist())]
+    return weights / totals[:, None], log_z
 
 
 def _check_probability_vector(populations: Sequence[float]) -> np.ndarray:

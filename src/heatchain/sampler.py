@@ -337,7 +337,7 @@ def _walk(
         level = tables.scaled_level.take(slot)
 
 
-def _advance(tables: _SamplerTables, u: np.ndarray) -> tuple[np.ndarray, ...]:
+def _advance_block(tables: _SamplerTables, u: np.ndarray) -> tuple[tuple, tuple | None]:
     """Advance the shots whose uniforms are the rows of ``u`` through every collision.
 
     Column 0 picks the initial level; columns ``1 + 2i`` and ``2 + 2i`` pick
@@ -348,10 +348,10 @@ def _advance(tables: _SamplerTables, u: np.ndarray) -> tuple[np.ndarray, ...]:
     slots after it, each for the whole ``(N, k)`` block in a few calls.
     The float sums add the same terms in the same order as a shot-by-shot
     loop, so every bit agrees with it, whatever the number of rows.  Returns
-    per-shot arrays: system levels, ancilla (in, out) pair codes, heat ids,
-    sigma and the log path probability.  A shot that reaches a level of zero
-    initial population, whose log form of sigma is infinite, raises a
-    ModelError naming that level.
+    per-shot arrays (system levels, ancilla (in, out) pair codes, heat ids,
+    sigma and the log path probability) with ``None``, or with the first
+    failing shot and its error: a ModelError naming the level if the shot
+    reaches one of zero initial population, else a ConsistencyError.
     """
     k, n = len(u), tables.n
     alpha = _pick(tables.p0_cum, len(tables.p0_cum), u[:, 0])
@@ -395,34 +395,39 @@ def _advance(tables: _SamplerTables, u: np.ndarray) -> tuple[np.ndarray, ...]:
             totals.append(np.add.reduce(terms, axis=0) if k > 1 else np.add.accumulate(terms)[-1])
         sigma, sigma_log_form, log_p = totals
         sigma_log_form -= tables.log_p0[alphas[:, -1]]
-        failed = np.flatnonzero(
-            ~heats_agree | (np.abs(sigma - sigma_log_form) > SIGMA_CONSISTENCY_TOL)
+        failed = np.flatnonzero(~heats_agree | (np.abs(sigma - sigma_log_form) > SIGMA_CONSISTENCY_TOL))
+    block = alphas, pairs.T.copy(), heats.T.copy(), sigma, log_p
+    if not failed.size:
+        return block, None
+    # The first failing shot decides the message, as a shot-order loop would.
+    shot = int(failed[0])
+    if not heats_agree[shot]:
+        error = ConsistencyError("system-side and ancilla-side heats disagree on a sampled jump")
+    elif np.isinf(sigma_log_form[shot]):
+        # Only a level of zero initial population has an infinite log weight.
+        ends = [("system", alphas[shot, -1], tables.log_p0)] + [
+            (f"ancilla {i + 1}", code % tables.width, logs)
+            for i, (code, logs) in enumerate(zip(pairs[:, shot], tables.log_q))
+        ]
+        part, level = next((part, level) for part, level, logs in ends if np.isinf(logs[level]))
+        error = ModelError(
+            f"the log form of the entropy production is infinite because {part} level "
+            f"{level} has zero initial population but is reached by a sampled trajectory"
         )
-    if failed.size:
-        # The first failing shot decides the message, as a shot-order loop would.
-        shot = failed[0]
-        if not heats_agree[shot]:
-            raise ConsistencyError(
-                "system-side and ancilla-side heats disagree on a sampled jump"
-            )
-        if np.isinf(sigma_log_form[shot]):
-            # Only a level of zero initial population has an infinite log weight.
-            ends = [("system", alphas[shot, -1], tables.log_p0)] + [
-                (f"ancilla {i + 1}", code % tables.width, logs)
-                for i, (code, logs) in enumerate(zip(pairs[:, shot], tables.log_q))
-            ]
-            part, level = next(
-                (part, level) for part, level, logs in ends if np.isinf(logs[level])
-            )
-            raise ModelError(
-                f"the log form of the entropy production is infinite because {part} level "
-                f"{level} has zero initial population but is reached by a sampled trajectory"
-            )
-        raise ConsistencyError(
+    else:
+        error = ConsistencyError(
             f"entropy production mismatch: heat form {float(sigma[shot])!r}, "
             f"log form {float(sigma_log_form[shot])!r}"
         )
-    return alphas, pairs.T.copy(), heats.T.copy(), sigma, log_p
+    return block, (shot, error)
+
+
+def _advance(tables: _SamplerTables, u: np.ndarray) -> tuple[np.ndarray, ...]:
+    """:func:`_advance_block`'s arrays, or its first failing shot's error raised."""
+    block, failure = _advance_block(tables, u)
+    if failure is not None:
+        raise failure[1]
+    return block
 
 
 def _records(
@@ -506,15 +511,15 @@ def sample_trajectory(model: ModelConfig, rng: np.random.Generator) -> Augmented
 
 
 def _blocks(tables: _SamplerTables, config: SamplerConfig) -> Iterator[tuple[np.ndarray, ...]]:
-    """:func:`_advance`'s arrays for each block of ``config.shots`` shots, in shot order.
+    """:func:`_advance_block`'s arrays for each block of ``config.shots`` shots, in shot order.
 
     A block is the most whole ``_BLOCK_SHOTS``-shot slices that draw at most
-    ``_BLOCK_CELLS`` uniforms, and at least one slice.  If a shot of it
-    fails a check, the streams are set back to where the block began and
-    its shots are drawn and advanced again a slice at a time, so the slices
-    before the failing one are yielded before the error is raised, as from
-    blocks of ``_BLOCK_SHOTS``.  The streams are counter-based and a draw
-    reads the same uniforms whatever its shape, so no draw moves.
+    ``_BLOCK_CELLS`` uniforms, and at least one slice; its uniforms are
+    drawn once and it is advanced once.  If a shot of it fails a check, the
+    rows of the whole slices before that shot's are yielded, then its error
+    is raised, as from blocks of ``_BLOCK_SHOTS``: no shot is drawn twice.
+    Those rows keep their bits, since every sum of a block of two or more
+    shots adds row after row.
     """
     # Shot j is served by worker j mod W, so with W >= shots worker j serves
     # shot j alone, and workers past the last shot are never built.
@@ -524,21 +529,14 @@ def _blocks(tables: _SamplerTables, config: SamplerConfig) -> Iterator[tuple[np.
     rows = max(1, _BLOCK_CELLS // width // _BLOCK_SHOTS) * _BLOCK_SHOTS
     for start in range(0, config.shots, rows):
         size = min(rows, config.shots - start)
-        serving = [streams[(start + first) % workers] for first in range(min(workers, size))]
-        states = [stream.bit_generator.state for stream in serving]
-        try:  # the uniforms are held by _advance alone, which drops them after the walk
-            block = _advance(tables, _block_uniforms(streams, start, size, width))
-        except (ConsistencyError, ModelError):
-            pass  # raised again below, outside this handler
-        else:
-            yield block
-            continue
-        # Draw the block's uniforms again, a slice at a time; the failing slice raises.
-        for stream, state in zip(serving, states):
-            stream.bit_generator.state = state
-        for first in range(start, start + size, _BLOCK_SHOTS):
-            part = min(_BLOCK_SHOTS, start + size - first)
-            yield _advance(tables, _block_uniforms(streams, first, part, width))
+        # The uniforms are held by _advance_block alone, which drops them after the walk.
+        block, failure = _advance_block(tables, _block_uniforms(streams, start, size, width))
+        if failure is not None:
+            kept = failure[0] // _BLOCK_SHOTS * _BLOCK_SHOTS
+            if kept > 0:
+                yield tuple(a[:kept] for a in block)
+            raise failure[1]
+        yield block
 
 
 def iter_trajectories(model: ModelConfig, config: SamplerConfig) -> Iterator[TrajectoryRecord]:
