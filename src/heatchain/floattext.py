@@ -1,8 +1,9 @@
 """Shortest round-trip text of float64 arrays: ``repr`` of each value, written for an array at once.
 
 :func:`float_texts` returns exactly ``list(map(repr, values.tolist()))``.
-Arrays shorter than ``_THRESHOLD`` go through ``repr``; longer ones are
-formatted ``_CHUNK`` values at a time in numpy:
+The exports call it from ``heatstats._FLOAT_TEXTS_MIN`` values on (below
+that, ``repr`` is faster and this module is not imported).  It formats
+``_CHUNK`` values at a time in numpy:
 
 * **Digits.**  Schubfach (R. Giulietti, "The Schubfach way to render
   doubles", 2020, as in the JDK's ``DoubleToDecimal``) finds the shortest
@@ -30,7 +31,6 @@ import numpy as np
 
 __all__ = ["float_texts"]
 
-_THRESHOLD = 256  # fewer values than this are written by repr: the measured crossover
 _CHUNK = 1024  # most values per pass: keeps each temporary within about 200 KiB
 
 _M32 = (1 << 32) - 1
@@ -227,8 +227,6 @@ def _layout(f: np.ndarray, k: np.ndarray, negative: np.ndarray) -> np.ndarray:
 def float_texts(values: np.ndarray) -> list[str]:
     """``list(map(repr, values.tolist()))`` for a 1-d float64 array, computed for the array at once."""
     values = np.ascontiguousarray(values, dtype=np.float64)
-    if len(values) < _THRESHOLD:
-        return list(map(repr, values.tolist()))
     texts: list[str] = []
     for chunk in np.array_split(values, max(1, -(-len(values) // _CHUNK))):  # even chunks, none tiny
         texts += _chunk_texts(chunk)

@@ -132,7 +132,7 @@ HeatKey = tuple[Fraction, ...]
 _CODE_LIMIT = 2**63  # int64 key codes stay below this
 _EXPORT_BLOCK_ROWS = 512  # keys per block of exported text
 _EXPORT_SPAN_ROWS = 1024  # keys whose masses are formatted together
-_FLOAT_TEXTS_MIN = 256  # floattext's threshold: fewer floats are formatted by their writer without importing it
+_FLOAT_TEXTS_MIN = 256  # fewer floats are formatted by their writer, without importing floattext: the measured crossover
 _RUN_CELLS = 256  # most cells in a table of list runs (see _list_tables)
 _BLOCK_PATHS = 2**14  # paths per frontier expansion in _path_blocks
 _DENSE_CODES = 8  # _first_occurrence groups through a code table up to this many codes per element
@@ -653,20 +653,19 @@ def _logs(values: np.ndarray) -> np.ndarray:
     return np.where(values > 0, logs, -math.inf)
 
 
-def _exponents(values: Sequence[Fraction], ids: np.ndarray, deltas: Sequence[float]) -> np.ndarray:
-    """``sum_i deltas[i] * Q_i`` per key, added column by column as a per-key loop would."""
+def _exponents(values: Sequence[Fraction], ids: np.ndarray, model: ModelConfig) -> np.ndarray:
+    """``sum_i (beta_i - beta_s) Q_i`` per key of ``model``, added column by column as a per-key loop would."""
     heats = np.array([float(q) for q in values])
     total = np.zeros(len(ids))
-    for d, column in zip(deltas, ids.T):
-        total += d * heats[column]
+    for beta, column in zip(model.ancilla_betas, ids.T):
+        total += (beta - model.system_beta) * heats[column]
     return total
 
 
 def _flip_log_ratio(values: Sequence[Fraction], ids: np.ndarray, masses: np.ndarray):
     """Per heat id ``h`` of a one-collision law: ``log p(h) - log p(-h)``, and where both are nonzero."""
     mass = np.zeros(len(values))
-    if ids.shape[1] == 1:
-        mass[ids[:, 0]] = masses
+    mass[ids[:, 0]] = masses
     plus, minus = mass.tolist(), mass[::-1].tolist()
     support = [p != 0.0 and m != 0.0 for p, m in zip(plus, minus)]
     ratio = [math.log(p) - math.log(m) if s else 0.0 for p, m, s in zip(plus, minus, support)]
@@ -737,14 +736,13 @@ def verify_joint_ft(
         raise ModelError("forward/backward collision counts differ")
     if forward.n_collisions != model.n_collisions:
         raise ModelError("distribution and model collision counts differ")
-    deltas = [beta - model.system_beta for beta in model.ancilla_betas]
     values, (fwd, bwd) = _shared(forward, backward)
     masses_bwd = _codes(backward).masses
     flipped = _negated_reversed(bwd, len(values))
     orphans = flipped[(masses_bwd > SUPPORT_FLOOR) & (_lookup(flipped, fwd, len(values)) < 0)]
     return _check_log_ratio(
         values, fwd, _codes(forward).masses, bwd, masses_bwd,
-        (_exponents(values, fwd, deltas),), True, tolerance, orphans=orphans,
+        (_exponents(values, fwd, model),), True, tolerance, orphans=orphans,
     )
 
 
@@ -761,8 +759,12 @@ def verify_product_relation(
     distribution itself does not factor; only the ratio does.  A zero
     single-collision factor is a mismatch whatever the key's mass.
     """
+    if forward.n_collisions != backward.n_collisions:
+        raise ModelError("forward/backward collision counts differ")
     if len(singles) != forward.n_collisions:
         raise ModelError("need one single-collision distribution per collision")
+    if any(single.n_collisions != 1 for single in singles):
+        raise ModelError("a single-collision distribution must have one collision")
     values, (fwd, bwd, *ones) = _shared(forward, backward, *singles)
     total = np.zeros(len(fwd))
     supported = np.ones(len(fwd), dtype=bool)
@@ -837,6 +839,8 @@ def _partial_decomposition(
 
 def _differences(a: JointHeatDistribution, b: JointHeatDistribution) -> np.ndarray:
     """``|p_a - p_b|`` over the union support: ``a``'s keys in order, then ``b``'s others."""
+    if a.n_collisions != b.n_collisions:
+        raise ModelError("compared distributions' collision counts differ")
     values, (ids_a, ids_b) = _shared(a, b)
     masses_a, masses_b = _codes(a).masses, _codes(b).masses
     at = _lookup(ids_a, ids_b, len(values))
@@ -862,9 +866,8 @@ def integral_ft_expectation(forward: JointHeatDistribution, model: ModelConfig) 
     """
     if forward.n_collisions != model.n_collisions:
         raise ModelError("distribution and model collision counts differ")
-    deltas = [beta - model.system_beta for beta in model.ancilla_betas]
     values, ids, masses = _codes(forward)
-    exponents = _exponents(values, ids, deltas)
+    exponents = _exponents(values, ids, model)
     return float(sum(p * math.exp(-s) for p, s in zip(masses.tolist(), exponents.tolist())))
 
 

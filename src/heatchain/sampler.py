@@ -307,16 +307,6 @@ def _tables(model: ModelConfig) -> _SamplerTables:
     return _SamplerTables(model)
 
 
-def _pick(cum: np.ndarray, length, u: np.ndarray) -> np.ndarray:
-    """Per shot, the count of CDF entries ``<= u`` clamped to ``length - 1``.
-
-    That is ``bisect_right`` on each (padded) row; comparing the floats
-    themselves, rather than searching rows offset into one array, keeps
-    every pick exact.
-    """
-    return np.minimum((cum <= u[:, None]).sum(axis=1), length - 1)
-
-
 def _walk(
     tables: _SamplerTables, slots: np.ndarray, level: np.ndarray, jump_u: np.ndarray
 ) -> None:
@@ -340,12 +330,14 @@ def _walk(
 def _advance_block(tables: _SamplerTables, u: np.ndarray) -> tuple[tuple, tuple | None]:
     """Advance the shots whose uniforms are the rows of ``u`` through every collision.
 
-    Column 0 picks the initial level; columns ``1 + 2i`` and ``2 + 2i`` pick
-    the ancilla level and the jump of collision ``i``.  Only the jump picks
-    are made one collision at a time (:func:`_walk`), since a jump's CDF row
-    depends on the current system level.  The ancilla picks of all
-    collisions come before that walk, and everything read off the picked
-    slots after it, each for the whole ``(N, k)`` block in a few calls.
+    Column 0 picks the initial level, and columns ``1 + 2i`` and ``2 + 2i``
+    the ancilla level and the jump of collision ``i``.  A level is the count
+    of its CDF's entries before the last that are ``<= u``: ``bisect_right``
+    clamped to the last level.  Only the jump picks are made one collision
+    at a time (:func:`_walk`), since a jump's CDF row depends on the current
+    system level.  The ancilla picks of all collisions come before that
+    walk, and everything read off the picked slots after it, each for the
+    whole ``(N, k)`` block in a few calls.
     The float sums add the same terms in the same order as a shot-by-shot
     loop, so every bit agrees with it, whatever the number of rows.  Returns
     per-shot arrays (system levels, ancilla (in, out) pair codes, heat ids,
@@ -354,7 +346,7 @@ def _advance_block(tables: _SamplerTables, u: np.ndarray) -> tuple[tuple, tuple 
     reaches one of zero initial population, else a ConsistencyError.
     """
     k, n = len(u), tables.n
-    alpha = _pick(tables.p0_cum, len(tables.p0_cum), u[:, 0])
+    alpha = (tables.p0_cum[:-1, None] <= u[:, 0]).sum(axis=0)
     slots = np.empty((n, k), dtype=np.intp)
     slots[:] = tables.cell_offset[:, None]
     for column in tables.anc_columns:
@@ -422,14 +414,6 @@ def _advance_block(tables: _SamplerTables, u: np.ndarray) -> tuple[tuple, tuple 
     return block, (shot, error)
 
 
-def _advance(tables: _SamplerTables, u: np.ndarray) -> tuple[np.ndarray, ...]:
-    """:func:`_advance_block`'s arrays, or its first failing shot's error raised."""
-    block, failure = _advance_block(tables, u)
-    if failure is not None:
-        raise failure[1]
-    return block
-
-
 def _records(
     tables: _SamplerTables,
     alphas: np.ndarray,
@@ -438,7 +422,7 @@ def _records(
     sigma: np.ndarray,
     log_p: np.ndarray,
 ) -> Iterator[TrajectoryRecord]:
-    """One record per row of :func:`_advance`'s arrays."""
+    """One record per row of :func:`_advance_block`'s arrays."""
     pairs, values = tables.pairs, tables.heat_fraction
     for levels, moves, heat_ids, sig, log_path in zip(
         alphas.tolist(), pair_codes.tolist(), ids.tolist(), sigma.tolist(), log_p.tolist()
@@ -458,7 +442,7 @@ def _dump_text(
     ids: np.ndarray,
     sigma: np.ndarray,
 ) -> Iterator[str]:
-    """The JSON lines of the rows of :func:`_advance`'s arrays, one text per ``_BLOCK_SHOTS`` rows.
+    """The JSON lines of the rows of :func:`_advance_block`'s arrays, one text per ``_BLOCK_SHOTS`` rows.
 
     A line holds a shot's levels, ancilla pairs, exact heats and sigma.  The
     cells of every row are laid out once for the whole block, on the first
@@ -504,9 +488,11 @@ def _block_uniforms(
 
 
 def sample_trajectory(model: ModelConfig, rng: np.random.Generator) -> AugmentedTrajectory:
-    """Draw one augmented trajectory from the forward process."""
+    """Draw one augmented trajectory from the forward process, raising the error of a failed check."""
     tables = _tables(model)
-    shot = _advance(tables, rng.random((1, 1 + 2 * tables.n)))
+    shot, failure = _advance_block(tables, rng.random((1, 1 + 2 * tables.n)))
+    if failure is not None:
+        raise failure[1]
     return next(_records(tables, *shot)).trajectory
 
 
@@ -699,10 +685,8 @@ def average_entropy_production(
     every ancilla against its thermal state.  The report also checks that
     the information form is non-negative.
     """
-    deltas = [anc.beta - model.system_beta for anc in model.ancillas]
-
     values, ids, masses = _codes(exact_forward_joint(model, cap))
-    heat_average = sum((masses * _exponents(values, ids, deltas)).tolist())
+    heat_average = sum((masses * _exponents(values, ids, model)).tolist())
 
     realized, layers = _augmented_layers(model, cap)
     with np.errstate(divide="ignore"):

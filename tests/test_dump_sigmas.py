@@ -3,7 +3,7 @@
 ``sampler._sample`` lays out the dump cells of a whole block at once, and
 spells its sigmas by ``heatstats._float_cells``: through
 ``floattext.float_texts`` when the block holds at least
-``floattext._THRESHOLD`` shots, all of them finite, and by the JSON encoder
+``heatstats._FLOAT_TEXTS_MIN`` shots, all of them finite, and by the JSON encoder
 otherwise, so a ``nan`` or ``inf`` sigma is written ``NaN`` or ``Infinity``.
 Each ``_BLOCK_SHOTS``-shot slice is still dumped before it is weighed, so an
 ``OverflowError`` from ``exp(-sigma)`` leaves the lines of that slice and of
@@ -17,7 +17,7 @@ import pytest
 from test_floattext import count_kernel_calls
 from test_sampler import resonant_model
 
-from heatchain import cli, floattext, sampler
+from heatchain import cli, heatstats, sampler
 from heatchain.sampler import SamplerConfig, iter_trajectories
 
 BLOCK = sampler._BLOCK_SHOTS
@@ -57,19 +57,19 @@ def with_sigmas(monkeypatch, set_sigmas):
     monkeypatch.setattr(sampler, "_blocks", patched)
 
 
-@pytest.mark.parametrize("shots", [ROWS + 300, ROWS + floattext._THRESHOLD - 1])
+@pytest.mark.parametrize("shots", [ROWS + 300, ROWS + heatstats._FLOAT_TEXTS_MIN - 1])
 def test_sigmas_of_a_block_past_the_threshold_go_through_floattext(monkeypatch, shots):
     calls = count_kernel_calls(monkeypatch)
     model, config = chain(), SamplerConfig(shots=shots, master_seed=4, worker_count=2)
     assert sampled_lines(model, config) == record_lines(model, config)
     # One call per block of at least the threshold's shots; a smaller last block uses the encoder.
     tail = shots - ROWS
-    assert calls == [ROWS] + ([tail] if tail >= floattext._THRESHOLD else [])
+    assert calls == [ROWS] + ([tail] if tail >= heatstats._FLOAT_TEXTS_MIN else [])
 
 
 def test_a_block_below_the_threshold_does_not_call_floattext(monkeypatch):
     calls = count_kernel_calls(monkeypatch)
-    model, config = chain(), SamplerConfig(shots=floattext._THRESHOLD - 1, master_seed=6)
+    model, config = chain(), SamplerConfig(shots=heatstats._FLOAT_TEXTS_MIN - 1, master_seed=6)
     assert sampled_lines(model, config) == record_lines(model, config)
     assert calls == []
 

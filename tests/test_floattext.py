@@ -1,13 +1,13 @@
 """``floattext.float_texts`` against ``repr``, and the exports that use it.
 
 ``float_texts`` must return ``list(map(repr, values.tolist()))`` for any
-finite float64 array, through ``repr`` below its size threshold and
-through the vectorized Schubfach writer from it.  The writer is checked
-on both sides of the threshold (with the threshold patched to 0 for the
-writer), on fixed sets of edge values, and on random bit patterns; the
-number of patterns is read from ``HEATCHAIN_FLOATTEXT_SAMPLES`` (default
-10^5).  An export of a law past the threshold must write the bytes of the
-``repr`` route, with ``nan`` and ``inf`` masses spelled as before.
+float64 array, through the vectorized Schubfach writer whatever its size.
+The writer is checked on short arrays, on both sides of the
+``heatstats._FLOAT_TEXTS_MIN`` threshold from which the exports call it,
+on fixed sets of edge values, and on random bit patterns; the number of
+patterns is read from ``HEATCHAIN_FLOATTEXT_SAMPLES`` (default 10^5).  An
+export of a law past the threshold must write the bytes of the ``repr``
+route, with ``nan`` and ``inf`` masses spelled as before.
 """
 
 from __future__ import annotations
@@ -15,8 +15,11 @@ from __future__ import annotations
 import json
 import math
 import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,10 +35,8 @@ BATCH = 10**5  # values compared at a time, so a large sample needs little memor
 
 
 def kernel(values) -> list[str]:
-    """``float_texts`` through the vectorized writer whatever the size."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(floattext, "_THRESHOLD", 0)
-        return floattext.float_texts(np.asarray(values, dtype=np.float64))
+    """``float_texts`` of the values as a float64 array."""
+    return floattext.float_texts(np.asarray(values, dtype=np.float64))
 
 
 def assert_reprs(values) -> None:
@@ -63,16 +64,12 @@ def random_finite(seed: int, size: int) -> np.ndarray:
 
 @given(
     st.lists(FINITE, max_size=20),
-    st.integers(floattext._THRESHOLD - 3, floattext._THRESHOLD + 3),
+    st.integers(heatstats._FLOAT_TEXTS_MIN - 3, heatstats._FLOAT_TEXTS_MIN + 3),
     st.integers(0, 2**32 - 1),
 )
 def test_entry_point_writes_repr_on_both_sides_of_the_threshold(head, size, seed):
     values = np.concatenate([head, random_finite(seed, size)])[:size]
     assert floattext.float_texts(values) == list(map(repr, values.tolist()))
-
-
-def test_heatstats_imports_floattext_at_its_threshold():
-    assert heatstats._FLOAT_TEXTS_MIN == floattext._THRESHOLD
 
 
 def test_every_power_of_two_and_its_neighbours():
@@ -151,9 +148,9 @@ def test_exact_laws_past_the_threshold_write_the_repr_route_bytes(monkeypatch):
     calls = count_kernel_calls(monkeypatch)
     model = parse_model(RESONANT)
     for dist in (exact_forward_joint(model), exact_backward_joint(model)):
-        assert len(dist) >= floattext._THRESHOLD
+        assert len(dist) >= heatstats._FLOAT_TEXTS_MIN
         assert_writers_match(dist)
-    assert calls and min(calls) >= floattext._THRESHOLD
+    assert calls and min(calls) >= heatstats._FLOAT_TEXTS_MIN
 
 
 def test_a_span_with_nan_or_inf_keeps_the_encoders_spelling(monkeypatch):
@@ -169,3 +166,44 @@ def test_a_span_with_nan_or_inf_keeps_the_encoders_spelling(monkeypatch):
     csv = heatstats.distribution_to_csv(dist)
     assert ",nan\n" in csv and ",inf\n" in csv
     assert json.loads(text)["entries"][0]["probability"] == masses[0]
+
+
+# ---------------------------------------------------------------------------
+# The module is imported only for a float array long enough to use it.
+
+LOADED = """
+import sys
+from heatchain import cli
+if len(sys.argv) > 1:
+    assert cli.dispatch(sys.argv[1:]) == 0
+print("heatchain.floattext" in sys.modules)
+"""
+TWO_QUBITS = {
+    **RESONANT,
+    "ancillas": [
+        {"energies": ["0", "1"], "beta": beta, "unitary": {"kind": "partial_swap", "theta": 0.7}}
+        for beta in (0.5, 1.5)
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "document, loaded",
+    [(None, False), (TWO_QUBITS, False), (RESONANT, True)],
+    ids=["import-cli", "exact-two-collisions", "exact-resonant"],
+)
+def test_floattext_is_imported_only_for_a_law_past_the_threshold(tmp_path, document, loaded):
+    argv = []
+    if document is not None:
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(document))
+        argv = ["exact", str(model), "--out", str(tmp_path / "laws.csv")]
+        keys = len(exact_forward_joint(parse_model(document)))
+        assert (keys >= heatstats._FLOAT_TEXTS_MIN) == loaded
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(
+        [sys.executable, "-c", LOADED, *argv], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == str(loaded)

@@ -16,6 +16,7 @@ from heatchain import (
     UnitarySpec,
     backward_path_probability,
     build_energy_shells,
+    compare_distributions,
     distribution_from_csv,
     exact_backward_joint,
     exact_forward_joint,
@@ -25,6 +26,7 @@ from heatchain import (
     realize_unitary,
     shannon_entropy,
     single_collision_distribution,
+    total_variation,
     verify_joint_ft,
     verify_product_relation,
 )
@@ -89,6 +91,23 @@ def product_relation_one_single():
     verify_product_relation(forward, backward, [single_collision_distribution(model, 1)])
 
 
+def product_relation_wrong_backward():
+    model, forward, _ = qubit_laws()
+    shorter = exact_backward_joint(chain(QUBIT, [UnitarySpec.partial_swap(0.7)]))
+    verify_product_relation(forward, shorter, [single_collision_distribution(model, i) for i in (1, 2)])
+
+
+def law_and_its_prefix():
+    forward = qubit_laws()[1]
+    return forward, marginalize(forward, 1)
+
+
+def product_relation_joint_singles():
+    # As many singles as collisions, but each is the two-collision law.
+    _, forward, backward = qubit_laws()
+    verify_product_relation(forward, backward, [forward, forward])
+
+
 def backward_path_of_wrong_length():
     realized = realize_model(chain(QUBIT, [UnitarySpec.partial_swap(0.7)]))
     backward_path_probability([0, 1, 0], [stage.propagator for stage in realized.stages], realized.system_state)
@@ -117,6 +136,20 @@ def swap_on_diagonal_exchange_shell():
         pytest.param(joint_ft_wrong_backward, ModelError, "forward/backward collision counts", id="ft-backward-count"),
         pytest.param(joint_ft_wrong_model, ModelError, "model collision counts", id="ft-model-count"),
         pytest.param(product_relation_one_single, ModelError, "one single-collision", id="product-singles-count"),
+        pytest.param(
+            product_relation_wrong_backward, ModelError, "forward/backward collision counts", id="product-backward-count"
+        ),
+        pytest.param(
+            product_relation_joint_singles, ModelError, "must have one collision", id="product-singles-width"
+        ),
+        pytest.param(
+            lambda: compare_distributions(*law_and_its_prefix()), ModelError, "collision counts differ",
+            id="compare-count",
+        ),
+        pytest.param(
+            lambda: total_variation(*law_and_its_prefix()), ModelError, "collision counts differ",
+            id="total-variation-count",
+        ),
         pytest.param(lambda: distribution_from_csv(""), ModelError, "empty distribution CSV", id="csv-empty"),
         pytest.param(
             lambda: distribution_from_csv("Q_1,Q_1_exact,p\n"), ModelError, "unexpected distribution CSV header",

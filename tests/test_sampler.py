@@ -473,18 +473,6 @@ class TestBlockSamplerMatchesReference:
             assert len(fast) == shots
             assert fast == slow
 
-    def test_pick_is_bisect_right_with_clamp(self):
-        # Ties with a CDF entry and draws past an entry sum below 1 are too
-        # rare to meet in sampled streams, so they are pinned here.
-        cum = np.array([0.25, 0.5, 0.5, 0.875])
-        u = np.array([0.0, 0.25, 0.3, 0.5, 0.6, 0.875, 0.9])
-        expected = [reference_pick(cum.tolist(), x) for x in u]
-        assert sampler._pick(cum, len(cum), u).tolist() == expected
-        padded = np.array([[0.5, 0.875, np.inf], [0.25, 0.5, 0.75]])
-        lengths = np.array([2, 3])
-        u = np.array([0.875, 0.9])
-        assert sampler._pick(padded, lengths, u).tolist() == [1, 2]
-
     @pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
     def test_sample_trajectory_consumes_one_shot_of_uniforms(self, name):
         model = ORACLE_MODELS[name]()
@@ -541,16 +529,19 @@ class TestCraftedUniforms:
         reference = ReferenceTables(model)
         rows = crafted_rows(reference)
         tables = sampler._tables(model)
-        fast = [bits(r) for r in sampler._records(tables, *sampler._advance(tables, rows))]
+        block, failure = sampler._advance_block(tables, rows)
+        assert failure is None
+        fast = [bits(r) for r in sampler._records(tables, *block)]
         slow = [bits(reference_record(reference, StubRng(row.tolist()))) for row in rows]
         assert fast == slow
 
     def test_all_zero_heats_sum_to_positive_zero(self):
         model = identity_hot_ancillas_model()
         tables = sampler._tables(model)
-        alphas, pair_codes, ids, sigma, _ = sampler._advance(
+        (alphas, pair_codes, ids, sigma, _), failure = sampler._advance_block(
             tables, crafted_rows(ReferenceTables(model))
         )
+        assert failure is None
         assert [x.hex() for x in sigma.tolist()] == ["0x0.0p+0"] * len(sigma)
         lines = "".join(sampler._dump_text(tables, alphas, pair_codes, ids, sigma)).splitlines()
         assert all(line.endswith('"sigma": 0.0}') for line in lines)
@@ -565,7 +556,7 @@ def test_advance_memory_stays_within_a_few_uniform_blocks():
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        sampler._advance(tables, u)
+        sampler._advance_block(tables, u)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
@@ -609,6 +600,14 @@ class TestVectorizedChecks:
         fast, slow = self.failures(monkeypatch, corrupt)
         assert fast == slow
         assert fast.startswith("entropy production mismatch: heat form ")
+
+    def test_sample_trajectory_raises_its_shots_error(self, monkeypatch):
+        model = resonant_model([0.5, 2.5], seed=4)
+        tables = copy.copy(sampler._tables(model))
+        tables.sigma_term = tables.sigma_term + 1e-6  # every shot's heat form is off
+        monkeypatch.setattr(sampler, "_tables", lambda _: tables)
+        with pytest.raises(ConsistencyError, match="^entropy production mismatch: heat form "):
+            sample_trajectory(model, substream(21))
 
 
 class TestMixedRecordStreams:
