@@ -321,40 +321,44 @@ def realize_model(config: ModelConfig) -> RealizedModel:
     """Build shells, block rows, thermal states and propagators for every collision.
 
     Results are cached on the (immutable) config, so repeated queries about
-    the same model reuse one realization.  Errors are raised in collision
-    order, as realizing the collisions one by one would raise them: the
-    collisions are grouped in order, and a group's partial-swap structure
-    and each explicit or permutation collision's blocks are checked as the
-    collision is met.
+    the same model reuse one realization.  Collisions are grouped in order,
+    and a group's partial-swap structure and each explicit or permutation
+    collision's blocks are checked as the collision is met, so the first
+    faulty collision raises: its ``ModelError`` carries it, 1-based, as
+    ``collision``.
     """
     system_state = gibbs_state(config.system, config.system_beta)
     groups: dict[Spectrum, _Group] = {}
     draws: dict[int, list] = {}  # Haar shell size -> (group, row, flat offset, stream) per shell
     for position, anc in enumerate(config.ancillas):
-        group = groups.get(anc.spectrum)
-        if group is None:
-            group = groups[anc.spectrum] = _Group(build_energy_shells(config.system, anc.spectrum))
-        k = len(group.positions)
-        group.positions.append(position)
-        group.betas.append(anc.beta)
-        spec = anc.unitary
-        if spec.kind == "partial_swap":
-            if not group.swaps:  # check the group's shells here, in collision order
-                _partial_swap_rows(group.shells, ())
-            group.swaps.append(k)
-            group.thetas.append(spec.theta)
-        elif spec.kind == "haar":  # one-member shells keep [[1]]
-            for j, (first, size) in enumerate(group.index.spans):
-                if size > 1:
-                    stream = substream(config.master_seed, spec.stream_tag or 0, j)
-                    draws.setdefault(size, []).append((group, k, first, stream))
-        elif spec.kind != "identity":
-            row = np.concatenate([block.ravel() for block in _fixed_blocks(group.shells, spec)])
-            if spec.kind == "explicit":  # the one kind whose exit sums can miss 1
-                failing = _jump_probabilities(group.shells, row[None])[1][0]
-                if failing >= 0:
-                    raise _not_unitary(group.shells[failing])
-            group.fixed.append((k, row))
+        try:
+            group = groups.get(anc.spectrum)
+            if group is None:
+                group = groups[anc.spectrum] = _Group(build_energy_shells(config.system, anc.spectrum))
+            k = len(group.positions)
+            group.positions.append(position)
+            group.betas.append(anc.beta)
+            spec = anc.unitary
+            if spec.kind == "partial_swap":
+                if not group.swaps:  # check the group's shells here, in collision order
+                    _partial_swap_rows(group.shells, ())
+                group.swaps.append(k)
+                group.thetas.append(spec.theta)
+            elif spec.kind == "haar":  # one-member shells keep [[1]]
+                for j, (first, size) in enumerate(group.index.spans):
+                    if size > 1:
+                        stream = substream(config.master_seed, spec.stream_tag or 0, j)
+                        draws.setdefault(size, []).append((group, k, first, stream))
+            elif spec.kind != "identity":
+                row = np.concatenate([block.ravel() for block in _fixed_blocks(group.shells, spec)])
+                if spec.kind == "explicit":  # the one kind whose exit sums can miss 1
+                    failing = _jump_probabilities(group.shells, row[None])[1][0]
+                    if failing >= 0:
+                        raise _not_unitary(group.shells[failing])
+                group.fixed.append((k, row))
+        except ModelError as exc:
+            exc.collision = position + 1
+            raise
     for group in groups.values():
         index = group.index
         group.rows = np.zeros((len(group.positions), len(index.out)), dtype=complex)

@@ -23,7 +23,8 @@ Unitary kinds and their parameters:
     identity      no parameters
 
 Exit codes: 0 all requested checks passed, 1 a check failed, 2 unusable
-input or usage error.  Reports and exports are byte-identical across runs
+input or usage error, 141 (128 + SIGPIPE) stdout was closed before the
+output was written.  Reports and exports are byte-identical across runs
 with the same document, seed and worker count; wall-clock time is printed
 separately and never written into them.
 
@@ -36,6 +37,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -63,7 +65,6 @@ from .model import (
     Spectrum,
     format_rational,
     parse_rational,
-    single_collision_model,
 )
 from .sampler import SamplerConfig, _post_states, _sample, average_entropy_production
 from .unitaries import UnitarySpec, validate_energy_preservation
@@ -231,17 +232,13 @@ def parse_model(document: Mapping) -> ModelConfig:
         master_seed=seed,
     )
     # Surface structural problems (non-resonant partial swap, bad explicit
-    # blocks) at load time rather than on first use.  Collisions are realized
-    # in order, so the first ancilla that fails alone is the one reported.
+    # blocks) at load time, naming the first faulty ancilla.
     try:
         realize_model(config)
     except ModelError as exc:
-        for i in range(1, config.n_collisions + 1):
-            try:
-                realize_model(single_collision_model(config, i))
-            except ModelError:
-                raise _fail(f"ancillas[{i - 1}].unitary", str(exc)) from None
-        raise
+        if not hasattr(exc, "collision"):
+            raise
+        raise _fail(f"ancillas[{exc.collision - 1}].unitary", str(exc)) from None
     return config
 
 
@@ -566,15 +563,24 @@ def dispatch(argv: Sequence[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         code = args.handler(args)
+        print(f"elapsed: {time.perf_counter() - started:.3f}s")
+    except BrokenPipeError:  # the reader of stdout is gone: not an input error
+        return 141
     except (ModelError, EnumerationCapError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(f"elapsed: {time.perf_counter() - started:.3f}s")
     return code
 
 
 def main() -> None:
-    sys.exit(dispatch())
+    code = dispatch()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Point stdout at devnull, so the flush at exit has nowhere to fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

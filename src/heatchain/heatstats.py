@@ -657,8 +657,8 @@ def _exponents(values: Sequence[Fraction], ids: np.ndarray, model: ModelConfig) 
     """``sum_i (beta_i - beta_s) Q_i`` per key of ``model``, added column by column as a per-key loop would."""
     heats = np.array([float(q) for q in values])
     total = np.zeros(len(ids))
-    for beta, column in zip(model.ancilla_betas, ids.T):
-        total += (beta - model.system_beta) * heats[column]
+    for gap, column in zip(model.beta_gaps, ids.T):
+        total += gap * heats[column]
     return total
 
 

@@ -255,6 +255,10 @@ class ModelConfig:
     def ancilla_betas(self) -> tuple[float, ...]:
         return tuple(anc.beta for anc in self.ancillas)
 
+    @property
+    def beta_gaps(self) -> tuple[float, ...]:
+        return tuple(anc.beta - self.system_beta for anc in self.ancillas)
+
 
 def truncated_model(model: ModelConfig, n: int) -> ModelConfig:
     """The chain restricted to its first ``n`` collisions."""

@@ -208,7 +208,7 @@ class _SamplerTables:
         realized = realize_model(model)
         n = self.n = model.n_collisions
         dim = self.dim = model.system.dim
-        beta_diff = np.array([anc.beta - model.system_beta for anc in model.ancillas])
+        beta_diff = np.array(model.beta_gaps)
 
         p0 = realized.system_state.populations
         self.p0_cum = np.cumsum(p0)
@@ -592,10 +592,7 @@ def entropy_production(
     path = tuple(alphas)
     pairs = tuple(ancilla_pairs)
     heats = heats_from_system_path(path, model.system)
-    sigma = sum(
-        (anc.beta - model.system_beta) * float(q)
-        for anc, q in zip(model.ancillas, heats)
-    )
+    sigma = sum(gap * float(q) for gap, q in zip(model.beta_gaps, heats))
     realized = realize_model(model)
     with np.errstate(divide="ignore"):
         log_p0 = np.log(realized.system_state.populations)

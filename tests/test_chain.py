@@ -254,3 +254,26 @@ class TestRealizeModel:
         realized = realize_model(model)
         assert [s.index for s in realized.stages] == [1, 2, 3]
         assert [s.beta for s in realized.stages] == [0.5, 1.5, 2.5]
+
+    @pytest.mark.parametrize(
+        "spectrum, unitary",
+        [
+            pytest.param(["0", "2"], UnitarySpec.partial_swap(0.5), id="non-resonant-swap"),
+            pytest.param(["0", "1"], UnitarySpec.explicit({"1": [[1, 0], [0, 2]]}), id="explicit-not-unitary"),
+            pytest.param(["0", "1"], UnitarySpec.permutation({"1": [[0, 5]]}), id="permutation-index-out-of-range"),
+        ],
+    )
+    @pytest.mark.parametrize("position", [1, 2, 4])
+    def test_error_names_the_first_faulty_collision(self, spectrum, unitary, position):
+        # Good swaps around the fault, and a later copy of it that is never reached.  The
+        # faulty spectrum also appears first on an identity collision, so a non-resonant
+        # group is met before its first partial swap.
+        good = AncillaSpec(qubit(), 2.0, UnitarySpec.partial_swap(0.5))
+        bad = AncillaSpec(Spectrum.from_values(spectrum), 2.0, unitary)
+        ancillas = [good] * 5
+        ancillas[position - 1] = ancillas[-1] = bad
+        if position > 1:
+            ancillas[0] = AncillaSpec(bad.spectrum, 2.0, UnitarySpec.identity())
+        with pytest.raises(ModelError) as info:
+            realize_model(ModelConfig(qubit(), 1.0, tuple(ancillas)))
+        assert info.value.collision == position

@@ -537,6 +537,29 @@ def test_malformed_document_exits_2_naming_its_path(tmp_path, capsys, document, 
 
 
 @pytest.mark.parametrize(
+    "bad",
+    [
+        pytest.param({"energies": ["0", "2"]}, id="non-resonant-swap"),
+        pytest.param({"unitary": {"kind": "explicit", "blocks": NOT_UNITARY}}, id="explicit-not-unitary"),
+        pytest.param({"unitary": {"kind": "permutation", "cycles": {"1": [[0, 5]]}}}, id="permutation-index-out-of-range"),
+    ],
+)
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_failing_document_is_realized_once(monkeypatch, bad, k):
+    # The realization names the faulty collision itself: no sub-model is realized to find it.
+    calls = []
+
+    def counted(config):
+        calls.append(config)
+        return realize_model(config)
+
+    monkeypatch.setattr(cli, "realize_model", counted)
+    with pytest.raises(ModelError, match=re.escape(f"ancillas[{k}].unitary: ")):
+        parse_model(swap_chain({k: bad, 2: bad}))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
     "unitary, path, library_call",
     [
         pytest.param(

@@ -10,7 +10,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_cli(*args: str, cwd: Path, module: str = "heatchain.cli") -> subprocess.CompletedProcess:
+def run_cli(
+    *args: str, cwd: Path, module: str = "heatchain.cli", stdout: int = subprocess.PIPE
+) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
@@ -19,7 +21,8 @@ def run_cli(*args: str, cwd: Path, module: str = "heatchain.cli") -> subprocess.
         [sys.executable, "-m", module, *args],
         cwd=cwd,
         env=env,
-        capture_output=True,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         text=True,
         timeout=300,
     )
@@ -57,3 +60,17 @@ def test_package_entry_usage_error_exits_2(tmp_path):
     assert result.stdout == ""
     assert result.stderr.startswith("usage: heatchain sample ")
     assert result.stderr.endswith("error: argument --shots: must be at least 1, got 0\n")
+
+
+def test_closed_stdout_exits_141_with_nothing_on_stderr(tmp_path):
+    # The read end is closed before the child starts, so its first write to stdout
+    # fails: a closed reader is not unusable input, and nothing is reported.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        model = str(ROOT / "demos" / "models" / "resonant_chain.json")
+        result = run_cli("verify", model, cwd=tmp_path, module="heatchain", stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert result.returncode == 141
+    assert result.stderr == ""
