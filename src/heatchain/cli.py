@@ -307,6 +307,31 @@ def _backward_path(out: Path) -> Path:
     return out.with_name(out.stem + ".backward" + out.suffix)
 
 
+def _output_clash(args: argparse.Namespace) -> str | None:
+    """Why a file the command would write is the model or another output, if one is.
+
+    Such a write would destroy the file, so the command must touch no file.
+    A file that exists is known by its device and inode, whatever links
+    lead to it; one still to be written by its path with links and ``..``
+    resolved.
+    """
+    paths = {"the model": args.model, "--out": args.out, "--dump": getattr(args, "dump", None)}
+    if args.command == "exact" and args.out:
+        paths["--out's backward export"] = _backward_path(Path(args.out))
+    files: dict[object, str] = {}
+    for name, path in paths.items():
+        if path:
+            try:
+                status = os.stat(path)
+                key: object = (status.st_dev, status.st_ino)
+            except OSError:
+                key = os.path.realpath(path)
+            other = files.setdefault(key, name)
+            if other != name:
+                return f"{name} {path} is the same file as {other}"
+    return None
+
+
 def _distribution_text(dist, fmt: str) -> str:
     if fmt == "json":
         return _distribution_json_text(dist)
@@ -560,6 +585,10 @@ def dispatch(argv: Sequence[str] | None = None) -> int:
         args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
+    clash = _output_clash(args)
+    if clash:
+        print(f"error: {clash}", file=sys.stderr)
+        return 2
     started = time.perf_counter()
     try:
         code = args.handler(args)

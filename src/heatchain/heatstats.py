@@ -609,6 +609,9 @@ def marginalize(dist: JointHeatDistribution, keep: int | Sequence[int]) -> Joint
             raise ValueError("must keep at least one coordinate")
         if any(not 0 <= c < dist.n_collisions for c in coords):
             raise ValueError(f"coordinates {coords} out of range for N={dist.n_collisions}")
+        if len(set(coords)) < len(coords):
+            repeated = next(c for at, c in enumerate(coords) if c in coords[:at])
+            raise ValueError(f"coordinate {repeated} repeated in {coords}")
     values, ids, masses = _codes(dist)
     kept = ids[:, list(coords)]
     group, first = _first_occurrence(*_row_codes(kept, len(values)))

@@ -24,17 +24,17 @@ a parallel execution would reproduce the same numbers.
 
 The per-shot consistency checks (system-side against ancilla-side heat,
 heat form against log form of the entropy production) are evaluated for a
-whole block at once.  Shots are used in ``_BLOCK_SHOTS``-shot slices of a
-block, and a ConsistencyError is raised before anything of the offending
-slice is counted, dumped or yielded, as if blocks held ``_BLOCK_SHOTS``
-shots.
+whole block at once.  A block is cut into ``_BLOCK_SHOTS``-shot slices, and
+a ConsistencyError is raised before anything of the offending slice is
+counted, dumped or yielded, as if blocks held ``_BLOCK_SHOTS`` shots.
 
-The command line samples without records: ``_sample`` writes each slice's
-dump lines, counts its heat-id rows as bytes in a ``_Tally`` and adds
-``exp(-sigma)`` in shot order, building no per-shot object and no Fraction
-key.  The dump cells (levels, pairs, heats and sigmas) are laid out once for
-a whole block and joined a slice at a time.  ``summarize_samples`` is the
-plain reference over the ``TrajectoryRecord`` values that
+The command line samples without records: ``_sample`` weighs a block's
+``exp(-sigma)`` in shot order and counts its heat-id rows as bytes in a
+``_Tally``, once per block, building no per-shot object and no Fraction
+key, and it sums no log path probability, which only a record reports.
+The dump cells (levels, pairs, heats and sigmas) are laid out once for a
+whole block and its lines written a slice at a time.  ``summarize_samples``
+is the plain reference over the ``TrajectoryRecord`` values that
 ``iter_trajectories`` reads off the same blocks: a ``Counter`` of their
 exact heats, and ``exp(-sigma)`` added a record at a time, so both routes
 give the same law and the same sums.
@@ -103,17 +103,22 @@ __all__ = [
 
 SIGMA_CONSISTENCY_TOL = 1e-10
 
-# Shots counted, weighed and dumped together: a slice of a block.  Counts and
-# dump lines are taken out of each slice, and a failing shot leaves the
-# slices before its own used, so results are those of blocks this size.
+# Shots dumped together: a slice of a block.  Dump lines go out a slice at a
+# time, and a failing shot leaves the slices before its own used, so results
+# are those of blocks this size.
 _BLOCK_SHOTS = 256
 # Uniforms advanced together: a block is the most whole slices whose shots
 # draw at most ``_BLOCK_CELLS`` uniforms (``1 + 2N`` a shot), but at least
-# one slice: 1024 shots at N=30, 512 at N=60, 256 from N=128 on.  That bounds
-# the arrays held alive whatever the shot count.  2**17 raised peak RSS by
-# 1-2 MB.  Blocks start on slice boundaries, so a failing shot leaves the
-# same slices before it as blocks of ``_BLOCK_SHOTS`` would.
-_BLOCK_CELLS = 2**16
+# one slice: 2048 shots at N=30, 1024 at N=60, 256 from N=128 on.  That
+# bounds the arrays held alive whatever the shot count.  Against 2**16, it
+# raised the tracemalloc peak of a whole ``sample`` command on a qubit chain
+# from 2.13 to 3.05 MiB at N=30 (5000 shots) and from 1.36 to 2.31 MiB at N=60
+# (2500 shots); with ``--dump`` (N=40, and a d=3 chain at N=30) the peaks
+# stayed at 3.14 and 2.10 MiB.  perfbench's ``peak_rss_mb`` on sample-long is
+# set by its oracle reading a dump back, not by these arrays.  Blocks start
+# on slice boundaries, so a failing shot leaves the same slices before it as
+# blocks of ``_BLOCK_SHOTS`` would.
+_BLOCK_CELLS = 2**17
 
 
 @dataclass(frozen=True)
@@ -327,7 +332,9 @@ def _walk(
         level = tables.scaled_level.take(slot)
 
 
-def _advance_block(tables: _SamplerTables, u: np.ndarray) -> tuple[tuple, tuple | None]:
+def _advance_block(
+    tables: _SamplerTables, u: np.ndarray, log_paths: bool = True
+) -> tuple[tuple, tuple | None]:
     """Advance the shots whose uniforms are the rows of ``u`` through every collision.
 
     Column 0 picks the initial level, and columns ``1 + 2i`` and ``2 + 2i``
@@ -341,9 +348,10 @@ def _advance_block(tables: _SamplerTables, u: np.ndarray) -> tuple[tuple, tuple 
     The float sums add the same terms in the same order as a shot-by-shot
     loop, so every bit agrees with it, whatever the number of rows.  Returns
     per-shot arrays (system levels, ancilla (in, out) pair codes, heat ids,
-    sigma and the log path probability) with ``None``, or with the first
-    failing shot and its error: a ModelError naming the level if the shot
-    reaches one of zero initial population, else a ConsistencyError.
+    sigma and, with ``log_paths``, the log path probability) with ``None``,
+    or with the first failing shot and its error: a ModelError naming the
+    level if the shot reaches one of zero initial population, else a
+    ConsistencyError.
     """
     k, n = len(u), tables.n
     alpha = (tables.p0_cum[:-1, None] <= u[:, 0]).sum(axis=0)
@@ -365,7 +373,8 @@ def _advance_block(tables: _SamplerTables, u: np.ndarray) -> tuple[tuple, tuple 
     moves = pairs + tables.move_offset[:, None]
     heats_agree = (heats == tables.anc_heat_id.reshape(-1).take(moves)).all(axis=0)
     log_q = tables.log_q[:, :, None]
-    # Sigma, its log form and the log path probability, one at a time: row 0
+    # Sigma, its log form and the log path probability (with ``log_paths``
+    # alone; no check reads it), one at a time: row 0
     # of ``terms`` holds the starting value and row 1 + i collision i's term,
     # taken straight in (mode="clip" skips the buffering of mode="raise";
     # every index is in range).  Down the rows of a block of two or more
@@ -377,18 +386,20 @@ def _advance_block(tables: _SamplerTables, u: np.ndarray) -> tuple[tuple, tuple 
     totals = []
     with np.errstate(invalid="ignore"):  # -inf logs of empty levels, as with floats
         log_ratio = (log_q - log_q.transpose(0, 2, 1)).reshape(-1)
-        for first, table, index in (
+        sums = [
             (0.0, tables.sigma_term, slots),  # all-zero heats then sum to +0.0, never -0.0
             (tables.log_p0[alpha], log_ratio, moves),
-            (tables.log_p0[alpha], tables.log_p_term, slots),
-        ):
+        ]
+        if log_paths:
+            sums.append((tables.log_p0[alpha], tables.log_p_term, slots))
+        for first, table, index in sums:
             terms[0] = first
             table.take(index, out=terms[1:], mode="clip")
             totals.append(np.add.reduce(terms, axis=0) if k > 1 else np.add.accumulate(terms)[-1])
-        sigma, sigma_log_form, log_p = totals
+        sigma, sigma_log_form, *log_p = totals
         sigma_log_form -= tables.log_p0[alphas[:, -1]]
         failed = np.flatnonzero(~heats_agree | (np.abs(sigma - sigma_log_form) > SIGMA_CONSISTENCY_TOL))
-    block = alphas, pairs.T.copy(), heats.T.copy(), sigma, log_p
+    block = alphas, pairs.T.copy(), heats.T.copy(), sigma, *log_p
     if not failed.size:
         return block, None
     # The first failing shot decides the message, as a shot-order loop would.
@@ -496,16 +507,19 @@ def sample_trajectory(model: ModelConfig, rng: np.random.Generator) -> Augmented
     return next(_records(tables, *shot)).trajectory
 
 
-def _blocks(tables: _SamplerTables, config: SamplerConfig) -> Iterator[tuple[np.ndarray, ...]]:
+def _blocks(
+    tables: _SamplerTables, config: SamplerConfig, log_paths: bool = True
+) -> Iterator[tuple[np.ndarray, ...]]:
     """:func:`_advance_block`'s arrays for each block of ``config.shots`` shots, in shot order.
 
     A block is the most whole ``_BLOCK_SHOTS``-shot slices that draw at most
     ``_BLOCK_CELLS`` uniforms, and at least one slice; its uniforms are
-    drawn once and it is advanced once.  If a shot of it fails a check, the
-    rows of the whole slices before that shot's are yielded, then its error
-    is raised, as from blocks of ``_BLOCK_SHOTS``: no shot is drawn twice.
-    Those rows keep their bits, since every sum of a block of two or more
-    shots adds row after row.
+    drawn once and it is advanced once, summing the log path probabilities
+    only with ``log_paths``.  If a shot of it fails a check, the rows of the
+    whole slices before that shot's are yielded, then its error is raised,
+    as from blocks of ``_BLOCK_SHOTS``: no shot is drawn twice.  Those rows
+    keep their bits, since every sum of a block of two or more shots adds
+    row after row.
     """
     # Shot j is served by worker j mod W, so with W >= shots worker j serves
     # shot j alone, and workers past the last shot are never built.
@@ -516,7 +530,9 @@ def _blocks(tables: _SamplerTables, config: SamplerConfig) -> Iterator[tuple[np.
     for start in range(0, config.shots, rows):
         size = min(rows, config.shots - start)
         # The uniforms are held by _advance_block alone, which drops them after the walk.
-        block, failure = _advance_block(tables, _block_uniforms(streams, start, size, width))
+        block, failure = _advance_block(
+            tables, _block_uniforms(streams, start, size, width), log_paths
+        )
         if failure is not None:
             kept = failure[0] // _BLOCK_SHOTS * _BLOCK_SHOTS
             if kept > 0:
@@ -543,21 +559,33 @@ def _sample(
 ) -> SampleSummary:
     """Summarize ``config.shots`` shots straight from their blocks, as records would be.
 
-    With ``dump``, the dump lines of each ``_BLOCK_SHOTS``-shot slice of a
-    block are passed to it before the slice is counted and weighed, their
-    cells laid out once for the block.  A ConsistencyError leaves the lines
-    of the earlier slices dumped, as a record stream would, and an
-    OverflowError of ``exp(-sigma)`` the lines up to its own slice's.
+    Each block is weighed and counted once, and no log path probability is
+    summed.  With ``dump``, the block's dump lines are then passed to it a
+    ``_BLOCK_SHOTS``-shot slice at a time, their cells laid out once for the
+    block.  A ConsistencyError leaves the lines of the slices before the
+    failing shot's dumped, as a record stream would.  An OverflowError of
+    ``exp(-sigma)`` leaves the lines through the overflowing shot's slice:
+    that shot is found by running ``math.exp`` over the block again.
     """
     tables = _tables(model)
     tally = _Tally()
-    for alphas, pair_codes, ids, sigma, _ in _blocks(tables, config):
-        texts = None if dump is None else _dump_text(tables, alphas, pair_codes, ids, sigma)
-        for first in range(0, len(sigma), _BLOCK_SHOTS):
-            if texts is not None:
-                dump(next(texts))
-            tally.count_block(tables, ids[first : first + _BLOCK_SHOTS])
-            tally.weigh(sigma[first : first + _BLOCK_SHOTS])
+    for alphas, pair_codes, ids, sigma in _blocks(tables, config, log_paths=False):
+        texts = () if dump is None else _dump_text(tables, alphas, pair_codes, ids, sigma)
+        try:
+            tally.weigh(sigma)
+        except OverflowError:
+            # The lines go out through the slice of the first shot that overflows.
+            for shot, value in enumerate((-sigma).tolist()):
+                try:
+                    math.exp(value)
+                except OverflowError:
+                    break
+            for text in islice(texts, shot // _BLOCK_SHOTS + 1):
+                dump(text)
+            raise
+        for text in texts:
+            dump(text)
+        tally.count_block(tables, ids)
     return tally.summary(tables, config.shots)
 
 
@@ -748,12 +776,14 @@ class _Tally:
         self.counts.update(rows.ravel().tolist())
 
     def weigh(self, sigmas: np.ndarray) -> None:
-        """Add ``exp(-sigma)`` and its square, strictly in shot order.
+        """Add a block's ``exp(-sigma)`` and its square, strictly in shot order.
 
         ``math.exp`` is mapped over the shots (``np.exp`` may differ from it
         in the last bit), and each sum runs on from its total by
         ``np.add.accumulate``, which adds in order where ``np.sum`` adds
-        pairwise, so every bit is that of a shot-by-shot loop.
+        pairwise, so every bit is that of a shot-by-shot loop, however the
+        shots are cut into calls.  An OverflowError of ``math.exp`` leaves
+        both sums as they were.
         """
         w = np.fromiter(map(math.exp, (-sigmas).tolist()), dtype=float, count=len(sigmas))
         with np.errstate(over="ignore"):  # to inf, as float arithmetic overflows

@@ -1,11 +1,11 @@
 """Sampler blocks sized by uniforms, against the shot-by-shot reference.
 
 ``heatchain sample`` advances as many ``_BLOCK_SHOTS``-shot slices per block
-as draw at most ``_BLOCK_CELLS`` uniforms (``1 + 2N`` a shot), and counts,
-weighs and dumps them a slice at a time.  Whatever the block boundaries,
-the summary bits, the dump bytes and the exported law must be those of the
-pure-Python reference sampler, which draws one uniform at a time.  The
-``exp(-sigma)`` sums must be those of a shot-order loop, and the
+as draw at most ``_BLOCK_CELLS`` uniforms (``1 + 2N`` a shot), weighs and
+counts each block once and dumps it a slice at a time.  Whatever the block
+boundaries, the summary bits, the dump bytes and the exported law must be
+those of the pure-Python reference sampler, which draws one uniform at a
+time.  The ``exp(-sigma)`` sums must be those of a shot-order loop, and the
 probability cells of a sampled law must be ``repr(count / shots)``.
 """
 
@@ -48,7 +48,7 @@ def reference_shots(model, config):
 
 
 def test_block_rows_follow_the_uniform_budget():
-    assert [block_rows(n) for n in (1, 30, 60, 300)] == [21760, 1024, 512, 256]
+    assert [block_rows(n) for n in (1, 30, 60, 300)] == [43520, 2048, 1024, 256]
     for n in (1, 30, 60):
         tables = sampler._tables(chain(n))
         rows = block_rows(n)
@@ -93,7 +93,7 @@ def test_shot_counts_around_the_block_rows(n, workers):
 def test_failure_in_a_later_block_keeps_the_slices_before_it(monkeypatch):
     # A cold chain whose second ancilla rarely leaves its ground level: with
     # its excited log-weight perturbed, the first inconsistent shot of this
-    # seed falls in a later slice of the third 1024-shot block.
+    # seed falls in a later slice of the third 2048-shot block.
     model = resonant_model([8.0] * 30, beta_s=8.0)
     tables = copy.copy(sampler._tables(model))
     tables.log_q = tables.log_q.copy()
@@ -101,7 +101,7 @@ def test_failure_in_a_later_block_keeps_the_slices_before_it(monkeypatch):
     reference = ReferenceTables(model)
     reference.log_q[1][1] += 1e-6
     monkeypatch.setattr(sampler, "_tables", lambda _: tables)
-    config = SamplerConfig(shots=6000, master_seed=36, worker_count=3)
+    config = SamplerConfig(shots=6000, master_seed=74, worker_count=3)
 
     expected = []
     with pytest.raises(ConsistencyError) as slow:
@@ -124,6 +124,37 @@ def test_failure_in_a_later_block_keeps_the_slices_before_it(monkeypatch):
     with pytest.raises(ConsistencyError):
         sampler._sample(model, config, lines.append)
     assert "".join(lines).count("\n") == failing // BLOCK * BLOCK
+
+
+class UnreadLogPaths(sampler._SamplerTables):
+    """Sampler tables whose log path terms raise on any read."""
+
+    @property
+    def log_p_term(self):
+        raise AssertionError("the log path terms were read")
+
+
+@pytest.mark.parametrize("n", [1, 30])
+def test_sample_never_reads_the_log_path_terms(monkeypatch, n):
+    # Only a record reports a log path probability: the summary and the dump
+    # lines of ``sample`` are those of an untouched run without a read of it.
+    model = chain(n)
+    config = SamplerConfig(shots=2 * block_rows(n) + 5, master_seed=3, worker_count=2)
+    texts = []
+    summary = sampler._sample(model, config, texts.append)
+    guarded = copy.copy(sampler._tables(model))
+    guarded.__class__ = UnreadLogPaths
+    monkeypatch.setattr(sampler, "_tables", lambda _: guarded)
+    with pytest.raises(AssertionError, match="log path terms"):
+        next(iter_trajectories(model, config))
+    guarded_texts = []
+    guarded_summary = sampler._sample(model, config, guarded_texts.append)
+    assert "".join(guarded_texts) == "".join(texts)
+    assert guarded_summary.integral_ft_mean.hex() == summary.integral_ft_mean.hex()
+    assert guarded_summary.integral_ft_stderr.hex() == summary.integral_ft_stderr.hex()
+    law, guarded_law = summary.empirical.distribution, guarded_summary.empirical.distribution
+    assert list(guarded_law.entries.items()) == list(law.entries.items())
+    assert _distribution_text(guarded_law, "csv") == _distribution_text(law, "csv")
 
 
 def shot_order_sums(chunks):

@@ -745,3 +745,52 @@ def test_one_parser_answers_a_sequence_as_fresh_parsers_do(monkeypatch, tmp_path
     assert shared[4][1].startswith("usage: heatchain ")
     assert "invalid choice: 'anneal'" in shared[5][2]
     assert "error: argument --shots: must be at least 1" in shared[6][2]
+
+
+# ---------------------------------------------------------------------------
+# An output that names the model or another output exits 2 before any work.
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["exact", "m.json", "--out", "m.json"], "--out m.json is the same file as the model"),
+        (["validate", "m.json", "--out", "m.json"], "--out m.json is the same file as the model"),
+        (["verify", "m.json", "--out", "m.json"], "--out m.json is the same file as the model"),
+        (["entropy", "m.json", "--out", "m.json"], "--out m.json is the same file as the model"),
+        (["sample", "m.json", "--out", "m.json"], "--out m.json is the same file as the model"),
+        (["sample", "m.json", "--dump", "m.json"], "--dump m.json is the same file as the model"),
+        (
+            ["sample", "m.json", "--shots", "300", "--out", "x.csv", "--dump", "x.csv"],
+            "--dump x.csv is the same file as --out",
+        ),
+        (
+            ["sample", "m.json", "--out", "new.csv", "--dump", "sub/../new.csv"],
+            "--dump sub/../new.csv is the same file as --out",
+        ),
+        (
+            ["exact", "m.backward.json", "--out", "m.json"],
+            "--out's backward export m.backward.json is the same file as the model",
+        ),
+        (["exact", "link.json", "--out", "m.json"], "--out m.json is the same file as the model"),
+        (["exact", "hard.json", "--out", "m.json"], "--out m.json is the same file as the model"),
+    ],
+    ids=[
+        "exact-out-model", "validate-out-model", "verify-out-model", "entropy-out-model",
+        "sample-out-model", "sample-dump-model", "sample-dump-out", "sample-dump-out-spelled",
+        "exact-backward-model", "exact-out-linked-model", "exact-out-hard-linked-model",
+    ],
+)
+def test_an_output_naming_another_file_of_the_command_exits_2(
+    tmp_path, monkeypatch, capsys, argv, message
+):
+    monkeypatch.chdir(tmp_path)
+    write_model(tmp_path, CHAIN_DOCUMENT, "m.json")
+    write_model(tmp_path, CHAIN_DOCUMENT, "m.backward.json")
+    (tmp_path / "link.json").symlink_to("m.json")
+    (tmp_path / "hard.json").hardlink_to(tmp_path / "m.json")
+    (tmp_path / "x.csv").write_bytes(b"kept\n")
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    assert dispatch(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before

@@ -488,7 +488,9 @@ def test_marginals_and_distances_match_reference(model, data):
     via = exact_forward_joint_via_ancilla_paths(model)
     reference, _ = reference_joint(model, "forward")
     coords = data.draw(
-        st.lists(st.integers(0, model.n_collisions - 1), min_size=1, max_size=model.n_collisions)
+        st.lists(
+            st.integers(0, model.n_collisions - 1), min_size=1, max_size=model.n_collisions, unique=True
+        )
     )
     reduced = marginalize(forward, coords)
     assert [(k, p.hex()) for k, p in reduced.entries.items()] == [

@@ -5,9 +5,9 @@ spells its sigmas by ``heatstats._float_cells``: through
 ``floattext.float_texts`` when the block holds at least
 ``heatstats._FLOAT_TEXTS_MIN`` shots, all of them finite, and by the JSON encoder
 otherwise, so a ``nan`` or ``inf`` sigma is written ``NaN`` or ``Infinity``.
-Each ``_BLOCK_SHOTS``-shot slice is still dumped before it is weighed, so an
-``OverflowError`` from ``exp(-sigma)`` leaves the lines of that slice and of
-the slices before it, no more.  Every line must be the one
+Dump lines go out a ``_BLOCK_SHOTS``-shot slice at a time, and an
+``OverflowError`` from ``exp(-sigma)`` leaves the lines of the overflowing
+shot's slice and of the slices before it, no more.  Every line must be the one
 ``cli._dump_line`` writes for the shot's record.
 """
 
@@ -22,7 +22,7 @@ from heatchain.sampler import SamplerConfig, iter_trajectories
 
 BLOCK = sampler._BLOCK_SHOTS
 N = 30
-ROWS = max(1, sampler._BLOCK_CELLS // (1 + 2 * N) // BLOCK) * BLOCK  # shots in a block: 1024
+ROWS = max(1, sampler._BLOCK_CELLS // (1 + 2 * N) // BLOCK) * BLOCK  # shots in a block: 2048
 
 
 def chain():
@@ -46,12 +46,12 @@ def with_sigmas(monkeypatch, set_sigmas):
     """Route every block of ``_sample`` and ``iter_trajectories`` through ``set_sigmas(start, sigma)``."""
     blocks = sampler._blocks
 
-    def patched(tables, config):
+    def patched(tables, config, *args, **kwargs):
         start = 0
-        for alphas, pair_codes, ids, sigma, log_p in blocks(tables, config):
+        for alphas, pair_codes, ids, sigma, *log_p in blocks(tables, config, *args, **kwargs):
             sigma = sigma.copy()
             set_sigmas(start, sigma)
-            yield alphas, pair_codes, ids, sigma, log_p
+            yield alphas, pair_codes, ids, sigma, *log_p
             start += len(sigma)
 
     monkeypatch.setattr(sampler, "_blocks", patched)
@@ -88,9 +88,10 @@ def test_nan_and_inf_sigmas_keep_the_encoders_spelling(monkeypatch):
         assert lines[at].endswith(f'"sigma": {text}}}\n')
 
 
-@pytest.mark.parametrize("slice_index", [0, 2, 3])
+# Slices of the first block, its last one, and the first of the second block.
+@pytest.mark.parametrize("slice_index", [0, 2, 3, ROWS // BLOCK - 1, ROWS // BLOCK])
 def test_an_overflow_in_a_slice_leaves_the_lines_up_to_that_slice(monkeypatch, slice_index):
-    failing = slice_index * BLOCK + 17  # exp(-sigma) overflows on this shot of the first block
+    failing = slice_index * BLOCK + 17  # exp(-sigma) overflows on this shot
 
     def set_sigmas(start, sigma):
         if start <= failing < start + len(sigma):

@@ -24,7 +24,7 @@ BLOCK = sampler._BLOCK_SHOTS
 
 def test_a_failing_block_is_drawn_once(monkeypatch):
     # The perturbed chain of test_block_rows: the first inconsistent shot of
-    # this seed falls in a later slice of the third 1024-shot block.
+    # this seed falls in a later slice of the third 2048-shot block.
     model = resonant_model([8.0] * 30, beta_s=8.0)
     tables = copy.copy(sampler._tables(model))
     tables.log_q = tables.log_q.copy()
@@ -38,8 +38,8 @@ def test_a_failing_block_is_drawn_once(monkeypatch):
         return block_uniforms(streams, start, size, width)
 
     monkeypatch.setattr(sampler, "_block_uniforms", recorded)
-    config = SamplerConfig(shots=6000, master_seed=36, worker_count=3)
-    blocks = [(0, 1024), (1024, 1024), (2048, 1024)]
+    config = SamplerConfig(shots=6000, master_seed=74, worker_count=3)
+    blocks = [(0, 2048), (2048, 2048), (4096, 1904)]
 
     with pytest.raises(ConsistencyError):
         for _ in iter_trajectories(model, config):
@@ -64,7 +64,7 @@ def shown(records):
 
 
 def test_a_mid_run_zero_population_error_keeps_whole_slices(tmp_path, capsys):
-    n, seed, shots = 30, 8, 6000
+    n, seed, shots = 30, 33, 6000
     document = empty_level_document(n)
     model = cli.parse_model(document)
     config = SamplerConfig(shots=shots, master_seed=seed)

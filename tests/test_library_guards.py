@@ -133,6 +133,10 @@ def swap_on_diagonal_exchange_shell():
         pytest.param(
             lambda: marginalize(qubit_laws()[1], []), ValueError, "at least one coordinate", id="marginalize-none"
         ),
+        pytest.param(
+            lambda: marginalize(qubit_laws()[1], [0, 0]), ValueError, r"coordinate 0 repeated in \(0, 0\)",
+            id="marginalize-repeated",
+        ),
         pytest.param(joint_ft_wrong_backward, ModelError, "forward/backward collision counts", id="ft-backward-count"),
         pytest.param(joint_ft_wrong_model, ModelError, "model collision counts", id="ft-model-count"),
         pytest.param(product_relation_one_single, ModelError, "one single-collision", id="product-singles-count"),
