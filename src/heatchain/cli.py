@@ -42,17 +42,17 @@ import sys
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .chain import assert_detailed_balance, realize_model
 from .heatstats import (
     DEFAULT_ENUMERATION_CAP,
-    _distribution_json_text,
+    _csv_texts,
+    _json_texts,
     _partial_decomposition,
     _system_law,
     _system_layers,
     compare_distributions,
-    distribution_to_csv,
     exact_forward_joint_via_ancilla_paths,
     verify_joint_ft,
     verify_product_relation,
@@ -269,9 +269,11 @@ def load_model_file(path: str | Path) -> tuple[ModelConfig, RunSettings]:
 # Output helpers
 
 
-def _write_text(path: Path, text: str) -> None:
+def _write_text(path: Path, texts: Iterable[str]) -> None:
+    """Write ``texts`` to ``path`` one after another, each as soon as it comes."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8", newline="\n")
+    with path.open("w", encoding="utf-8", newline="\n") as sink:
+        sink.writelines(texts)
 
 
 def _report_json(report: dict) -> str:
@@ -299,7 +301,7 @@ def _finish_checks(
             detail += f"; {check['support_mismatches']} support mismatches"
         _print_check(check["name"], check["passed"], detail)
     if args.out:
-        _write_text(Path(args.out), _report_json(report))
+        _write_text(Path(args.out), [_report_json(report)])
     return 0 if report["passed"] else 1
 
 
@@ -332,10 +334,13 @@ def _output_clash(args: argparse.Namespace) -> str | None:
     return None
 
 
+def _distribution_texts(dist, fmt: str) -> Iterator[str]:
+    """The export of ``dist`` a block of keys at a time: its texts in order."""
+    return _json_texts(dist) if fmt == "json" else _csv_texts(dist, include_exact=True)
+
+
 def _distribution_text(dist, fmt: str) -> str:
-    if fmt == "json":
-        return _distribution_json_text(dist)
-    return distribution_to_csv(dist, include_exact=True)
+    return "".join(_distribution_texts(dist, fmt))
 
 
 # ---------------------------------------------------------------------------
@@ -386,12 +391,13 @@ def _cmd_exact(args: argparse.Namespace) -> int:
         )
     if args.out:
         out = Path(args.out)
-        _write_text(out, _distribution_text(forward, args.format))
-        _write_text(_backward_path(out), _distribution_text(backward, args.format))
+        _write_text(out, _distribution_texts(forward, args.format))
+        _write_text(_backward_path(out), _distribution_texts(backward, args.format))
         print(f"wrote {out} and {_backward_path(out)}")
     else:
-        sys.stdout.write("# forward\n" + _distribution_text(forward, args.format))
-        sys.stdout.write("# backward\n" + _distribution_text(backward, args.format))
+        for dist in (forward, backward):
+            sys.stdout.write(f"# {dist.direction}\n")
+            sys.stdout.writelines(_distribution_texts(dist, args.format))
     return 0
 
 
@@ -481,7 +487,8 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     )
     print(f"distinct heat tuples: {len(summary.empirical.distribution)}")
     if args.out:
-        _write_text(Path(args.out), _distribution_text(summary.empirical.distribution, args.format))
+        # Joined whole: written a block at a time, it raised the sample benchmark's max RSS.
+        _write_text(Path(args.out), [_distribution_text(summary.empirical.distribution, args.format)])
         print(f"wrote {args.out}")
     return 0
 
@@ -499,7 +506,7 @@ def _cmd_entropy(args: argparse.Namespace) -> int:
     )
     if args.out:
         header = {"command": "entropy", "model": str(args.model), "master_seed": config.master_seed}
-        _write_text(Path(args.out), _report_json({**header, **asdict(report)}))
+        _write_text(Path(args.out), [_report_json({**header, **asdict(report)})])
     return 0 if report.passed else 1
 
 

@@ -60,7 +60,11 @@ Text output
 The CSV and JSON exports and the sampler's ``--dump`` lines are laid out by one
 block formatter, ``_text_cells``: a block of rows (512 keys of an export, one
 sampler block of a dump) is a ``(rows, cells)`` object array of text, joined
-once (``_text_block``), or 256 dump lines at a time.  A list column is cut
+once (``_text_block``), or 256 dump lines at a time.  The export writers
+(``_csv_texts``, ``_json_texts``) yield a law's head, each block and its tail
+in turn; ``heatchain exact`` writes each text as it comes, so it holds one
+block, never the whole law's text, while :func:`distribution_to_csv` and
+``_distribution_json_text`` join the same texts.  A list column is cut
 into runs of up to ``c`` consecutive ids; a run's ids, read as one number,
 index a table of the run's joined texts with separators appended
 (``_list_tables``), so a row of N items takes about N / c lookups.  Floats,
@@ -82,6 +86,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product
+from operator import itemgetter
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -505,18 +510,18 @@ def _sweep(realized: RealizedModel, layers: list[_Layer], direction: str) -> Joi
 
     group, first = _first_occurrence(code, bound)
     masses = np.bincount(group, weights=weight, minlength=len(first))
-    ids = np.empty((len(first), len(layers)), dtype=_id_dtype(len(values)))
+    columns = np.empty((len(layers), len(first)), dtype=_id_dtype(len(values)))  # ids, one row per layer
     path = first
     for i in range(len(layers) - 1, -1, -1):
         parent, heat = trail[i]
-        ids[:, i] = heat[path]
+        heat.take(path, out=columns[i])
         path = parent[path]
 
     low = masses < PRUNE_THRESHOLD
     pruned = sum(masses[low].tolist(), 0.0)
     if low.any():
-        ids, masses = ids[~low], masses[~low]
-    return _coded_law(_Codes(values, ids, masses), direction, len(layers), pruned)
+        columns, masses = columns[:, ~low], masses[~low]
+    return _coded_law(_Codes(values, columns.T, masses), direction, len(layers), pruned)
 
 
 def _system_law(
@@ -676,11 +681,11 @@ def _flip_log_ratio(values: Sequence[Fraction], ids: np.ndarray, masses: np.ndar
 
 
 def _check_log_ratio(
+    forward: JointHeatDistribution,
+    backward: JointHeatDistribution,
     values: Sequence[Fraction],
-    forward: np.ndarray,
-    p_fwd: np.ndarray,
-    backward: np.ndarray,
-    masses_bwd: np.ndarray,
+    fwd: np.ndarray,
+    bwd: np.ndarray,
     terms: Sequence[np.ndarray],
     supported: np.ndarray | bool,
     tolerance: float,
@@ -688,26 +693,38 @@ def _check_log_ratio(
     strict_rhs: bool = False,
     orphans: np.ndarray | None = None,
 ) -> FTReport:
-    """Compare ``log p_fwd - log p_bwd`` at each forward key with its partner.
+    """Compare ``log p_F - log p_B`` at each forward key with its partner.
 
-    Keys are id rows on ``values`` (see :func:`_shared`).  ``terms`` are
+    ``fwd`` and ``bwd`` are the laws' id rows on ``values`` (see
+    :func:`_shared`).  Which keys have a partner, and ``log p_F - log p_B``
+    over those keys, are computed once per pair of laws and cached on
+    ``forward``, as its codes are, so the three identity checks of one
+    pair look the partners up and take the logs once.  ``terms`` are
     per-key arrays subtracted, in order, from the log ratio, valid where
     ``supported``; elsewhere a factor on the right has no support.  A key
     without a partner or a right-hand side is a mismatch unless its mass
     could have been pruned (``strict_rhs`` drops that allowance for the
     right-hand side).  ``orphans`` are mismatch rows the caller found.
     """
-    radix = len(values)
-    p_bwd = _masses_at(masses_bwd, _lookup(_negated_reversed(forward, radix), backward, radix))
-    paired = p_bwd != 0.0
+    p_fwd = _codes(forward).masses
+    pairing = forward.__dict__.get("_pairing")
+    if pairing is None or pairing[0] is not backward:
+        radix = len(values)
+        p_bwd = _masses_at(_codes(backward).masses, _lookup(_negated_reversed(fwd, radix), bwd, radix))
+        paired = p_bwd != 0.0
+        ratio = np.zeros(len(fwd))
+        ratio[paired] = _logs(p_fwd[paired]) - _logs(p_bwd[paired])
+        pairing = (backward, paired, ratio)
+        object.__setattr__(forward, "_pairing", pairing)
+    _, paired, ratio = pairing
     checked = paired & supported
     lost = ~checked & ((p_fwd > SUPPORT_FLOOR) | (strict_rhs & paired))
-    residual = _logs(p_fwd[checked]) - _logs(p_bwd[checked])
+    residual = ratio[checked]
     for term in terms:
         residual -= term[checked]
     magnitude = np.abs(residual)
     worst = float(np.max(magnitude, initial=0.0, where=~np.isnan(magnitude)))
-    rows = forward[lost] if orphans is None else np.concatenate([orphans, forward[lost]])
+    rows = fwd[lost] if orphans is None else np.concatenate([orphans, fwd[lost]])
     mismatches = tuple(
         tuple(map(values.__getitem__, row))
         for row in (np.unique(rows, axis=0).tolist() if len(rows) else ())
@@ -744,8 +761,7 @@ def verify_joint_ft(
     flipped = _negated_reversed(bwd, len(values))
     orphans = flipped[(masses_bwd > SUPPORT_FLOOR) & (_lookup(flipped, fwd, len(values)) < 0)]
     return _check_log_ratio(
-        values, fwd, _codes(forward).masses, bwd, masses_bwd,
-        (_exponents(values, fwd, model),), True, tolerance, orphans=orphans,
+        forward, backward, values, fwd, bwd, (_exponents(values, fwd, model),), True, tolerance, orphans=orphans
     )
 
 
@@ -775,10 +791,7 @@ def verify_product_relation(
         ratio, support = _flip_log_ratio(values, ids, _codes(single).masses)
         total += ratio[column]
         supported &= support[column]
-    return _check_log_ratio(
-        values, fwd, _codes(forward).masses, bwd, _codes(backward).masses,
-        (total,), supported, tolerance, strict_rhs=True,
-    )
+    return _check_log_ratio(forward, backward, values, fwd, bwd, (total,), supported, tolerance, strict_rhs=True)
 
 
 def verify_partial_decomposition(
@@ -835,8 +848,7 @@ def _partial_decomposition(
     prefix_ratio = np.zeros(len(fwd))
     prefix_ratio[supported] = _logs(p_head[supported]) - _logs(p_head_bwd[supported])
     return _check_log_ratio(
-        values, fwd, masses, bwd, _codes(backward).masses,
-        (prefix_ratio, ratio[fwd[:, -1]]), supported, tolerance,
+        forward, backward, values, fwd, bwd, (prefix_ratio, ratio[fwd[:, -1]]), supported, tolerance
     )
 
 
@@ -984,10 +996,16 @@ def distribution_to_csv(dist: JointHeatDistribution, include_exact: bool = False
     shortest exact float representation.  With ``include_exact`` the exact
     "num/den" keys are appended as extra columns.
     """
+    return "".join(_csv_texts(dist, include_exact))
+
+
+def _csv_texts(dist: JointHeatDistribution, include_exact: bool = False) -> Iterator[str]:
+    """The text of :func:`distribution_to_csv`: its header line, then each block of rows."""
     n = dist.n_collisions
     header = [f"Q_{i}" for i in range(1, n + 1)] + ["probability"]
     if include_exact:
         header += [f"Q_{i}_exact" for i in range(1, n + 1)]
+    yield ",".join(header) + "\n"
 
     values, ids, _ = _codes(dist)
     keys, width = ids.shape
@@ -995,15 +1013,18 @@ def distribution_to_csv(dist: JointHeatDistribution, include_exact: bool = False
     if exact := include_exact and width > 0:  # stacked, so one read of the run codes serves both
         exact_tables = _list_tables([format_rational(q) for q in values], ",", "\n", width, keys)
         tables = (tables[0], *map(np.column_stack, zip(tables[1:], exact_tables[1:])))
-    parts = [",".join(header) + "\n"]
     for rows, probs in _export_blocks(dist, lambda masses: map(repr, masses)):
         heats = _list_cells(rows, tables)
-        parts.append(_text_block(len(rows), [heats[..., 0], probs, ",", heats[..., 1]] if exact else [heats, probs, "\n"]))
-    return "".join(parts)
+        yield _text_block(len(rows), [heats[..., 0], probs, ",", heats[..., 1]] if exact else [heats, probs, "\n"])
 
 
 def _distribution_json_text(dist: JointHeatDistribution) -> str:
-    """``json.dumps(distribution_to_json(dist), indent=2) + "\\n"``, written in row blocks.
+    """``json.dumps(distribution_to_json(dist), indent=2) + "\\n"``, joined from :func:`_json_texts`."""
+    return "".join(_json_texts(dist))
+
+
+def _json_texts(dist: JointHeatDistribution) -> Iterator[str]:
+    """The text of :func:`_distribution_json_text`: its head, each block of entries, then its tail.
 
     The entries are laid out as the indenting encoder lays them out; a
     span of masses with a ``nan`` or ``inf`` is formatted by the encoder
@@ -1020,7 +1041,8 @@ def _distribution_json_text(dist: JointHeatDistribution) -> str:
         indent=2,
     )
     if not len(ids):
-        return head + "\n"
+        yield head + "\n"
+        return
     heat_tables = _list_tables(
         [json.dumps(format_rational(q)) for q in values],
         ",\n        ",
@@ -1028,12 +1050,12 @@ def _distribution_json_text(dist: JointHeatDistribution) -> str:
         ids.shape[1], len(ids),
     )
     opening = ',\n    {\n      "heats": ' + ("[\n        " if ids.shape[1] else '[],\n      "probability": ')
-    parts = [head[: -len("]\n}")]]
+    yield head[: -len("]\n}")]
+    comma = 1  # no comma before the first entry
     for rows, probs in _export_blocks(dist, _json_floats):
-        parts.append(_text_block(len(rows), [opening, _list_cells(rows, heat_tables), probs, "\n    }"]))
-    parts[1] = parts[1][1:]  # no comma before the first entry
-    parts.append("\n  ]\n}\n")
-    return "".join(parts)
+        yield _text_block(len(rows), [opening, _list_cells(rows, heat_tables), probs, "\n    }"])[comma:]
+        comma = 0
+    yield "\n  ]\n}\n"
 
 
 def distribution_to_json(dist: JointHeatDistribution) -> dict:
@@ -1054,10 +1076,7 @@ def distribution_to_json(dist: JointHeatDistribution) -> dict:
 
 def distribution_from_json(document: Mapping) -> JointHeatDistribution:
     """Inverse of :func:`distribution_to_json`; keys round-trip exactly."""
-    entries = {
-        tuple(parse_rational(q) for q in item["heats"]): float(item["probability"])
-        for item in document["entries"]
-    }
+    entries = _parsed_entries(document["entries"], itemgetter("heats"), itemgetter("probability"))
     return JointHeatDistribution(
         entries=entries,
         direction=document["direction"],
@@ -1083,9 +1102,17 @@ def distribution_from_csv(text: str, direction: str = "forward") -> JointHeatDis
         f"Q_{i}_exact" for i in range(1, n + 1)
     ]:
         raise ModelError(f"unexpected distribution CSV header {header!r}")
-    entries: dict[HeatKey, float] = {}
-    for line in lines[1:]:
-        cells = line.split(",")
-        key = tuple(parse_rational(cell) for cell in cells[n + 1 :])
-        entries[key] = float(cells[n])
+    rows = (line.split(",") for line in lines[1:])
+    entries = _parsed_entries(rows, itemgetter(slice(n + 1, None)), itemgetter(n))
     return JointHeatDistribution(entries=entries, direction=direction, n_collisions=n)
+
+
+def _parsed_entries(items, heats: Callable, probability: Callable) -> dict[HeatKey, float]:
+    """Key -> probability of each item, read in that order; a key repeated by value is an error."""
+    entries: dict[HeatKey, float] = {}
+    for item in items:
+        key = tuple(parse_rational(q) for q in heats(item))
+        if key in entries:
+            raise ModelError(f"heat key ({', '.join(map(format_rational, key))}) is repeated")
+        entries[key] = float(probability(item))
+    return entries

@@ -18,6 +18,7 @@ from heatchain import (
     build_energy_shells,
     compare_distributions,
     distribution_from_csv,
+    distribution_from_json,
     exact_backward_joint,
     exact_forward_joint,
     marginalize,
@@ -113,6 +114,12 @@ def backward_path_of_wrong_length():
     backward_path_probability([0, 1, 0], [stage.propagator for stage in realized.stages], realized.system_state)
 
 
+def law_document(*keys: list[str]) -> dict:
+    """A one-collision forward law document, one entry of mass 0.5 per key."""
+    entries = [{"heats": key, "probability": 0.5} for key in keys]
+    return {"direction": "forward", "n_collisions": 1, "entries": entries}
+
+
 def swap_on_diagonal_exchange_shell():
     # Sizes [1, 2, 1], but the two-member shell pairs (0, 0) with (1, 1).
     shells = (
@@ -158,6 +165,18 @@ def swap_on_diagonal_exchange_shell():
         pytest.param(
             lambda: distribution_from_csv("Q_1,Q_1_exact,p\n"), ModelError, "unexpected distribution CSV header",
             id="csv-header",
+        ),
+        pytest.param(
+            lambda: distribution_from_csv("Q_1,probability,Q_1_exact\n1,0.5,1\n1,0.5,1\n"),
+            ModelError, r"heat key \(1/1\) is repeated", id="csv-repeated-key",
+        ),
+        pytest.param(
+            lambda: distribution_from_json(law_document(["1"], ["1"])),
+            ModelError, r"heat key \(1/1\) is repeated", id="json-repeated-key",
+        ),
+        pytest.param(
+            lambda: distribution_from_json(law_document(["1"], ["2/2"])),
+            ModelError, r"heat key \(1/1\) is repeated", id="json-repeated-value",
         ),
         pytest.param(
             lambda: UnitarySpec.partial_swap(float("inf")), ModelError, "angle must be finite", id="swap-angle"
