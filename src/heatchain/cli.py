@@ -28,6 +28,10 @@ output was written.  Reports and exports are byte-identical across runs
 with the same document, seed and worker count; wall-clock time is printed
 separately and never written into them.
 
+A report (validate, verify and entropy ``--out``) opens with "command",
+"model" and "master_seed" and ends with "passed"; a check record lists
+"name", "passed", "max_residual", its details, then "tolerance".
+
 The argument parser is built once, at import; every ``dispatch`` in the
 process parses with that one parser.
 """
@@ -42,7 +46,7 @@ import sys
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 from .chain import assert_detailed_balance, realize_model
 from .heatstats import (
@@ -87,6 +91,14 @@ def _fail(path: str, message: str) -> ModelError:
     return ModelError(f"{path}: {message}")
 
 
+def _at(path: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, its ``ModelError`` reported at the document field ``path``."""
+    try:
+        return build(*args, **kwargs)
+    except ModelError as exc:
+        raise _fail(path, str(exc)) from None
+
+
 def _number(value: object, path: str) -> float:
     if isinstance(value, bool):
         raise _fail(path, f"expected a number, got {value!r}")
@@ -114,14 +126,8 @@ def _spectrum(values: object, path: str) -> Spectrum:
                 f"{path}[{idx}]",
                 f"floats are not exact; write {raw!r} as a 'num/den' string",
             )
-        try:
-            levels.append(parse_rational(raw))
-        except ModelError as exc:
-            raise _fail(f"{path}[{idx}]", str(exc)) from None
-    try:
-        return Spectrum(tuple(levels))
-    except ModelError as exc:
-        raise _fail(path, str(exc)) from None
+        levels.append(_at(f"{path}[{idx}]", parse_rational, raw))
+    return _at(path, Spectrum, tuple(levels))
 
 
 def _complex_matrix(raw: object, path: str) -> list[list[complex]]:
@@ -154,10 +160,7 @@ def _unitary(raw: object, path: str) -> UnitarySpec:
         tag = raw.get("stream_tag")
         if tag is not None and (isinstance(tag, bool) or not isinstance(tag, int)):
             raise _fail(f"{path}.stream_tag", "expected an integer")
-        try:
-            return UnitarySpec.haar(stream_tag=tag)
-        except ModelError as exc:
-            raise _fail(f"{path}.stream_tag", str(exc)) from None
+        return _at(f"{path}.stream_tag", UnitarySpec.haar, stream_tag=tag)
     if kind == "partial_swap":
         if "theta" not in raw:
             raise _fail(f"{path}.theta", "partial_swap requires an angle")
@@ -169,20 +172,14 @@ def _unitary(raw: object, path: str) -> UnitarySpec:
         shift = raw.get("shift", 0)
         if isinstance(shift, bool) or not isinstance(shift, int):
             raise _fail(f"{path}.shift", "expected an integer")
-        try:
-            return UnitarySpec.permutation(cycles=cycles, shift=shift)
-        except ModelError as exc:
-            raise _fail(f"{path}.cycles", str(exc)) from None
+        return _at(f"{path}.cycles", UnitarySpec.permutation, cycles=cycles, shift=shift)
     if kind == "explicit":
         blocks_raw = raw.get("blocks")
         if not isinstance(blocks_raw, Mapping) or not blocks_raw:
             raise _fail(f"{path}.blocks", "expected {'num/den': matrix} entries")
         # Keyed as written: the library parses each total and rejects "1" beside "2/2".
         blocks = {t: _complex_matrix(mat, f"{path}.blocks[{t}]") for t, mat in blocks_raw.items()}
-        try:
-            return UnitarySpec.explicit(blocks)
-        except ModelError as exc:
-            raise _fail(f"{path}.blocks", str(exc)) from None
+        return _at(f"{path}.blocks", UnitarySpec.explicit, blocks)
     if kind == "identity":
         return UnitarySpec.identity()
     raise _fail(f"{path}.kind", f"unknown unitary kind {kind!r}")
@@ -269,40 +266,46 @@ def load_model_file(path: str | Path) -> tuple[ModelConfig, RunSettings]:
 # Output helpers
 
 
+def _open_output(path: Path) -> TextIO:
+    """Open ``path`` for writing as UTF-8 text with ``\\n`` line ends, making its directories."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path.open("w", encoding="utf-8", newline="\n")
+
+
 def _write_text(path: Path, texts: Iterable[str]) -> None:
     """Write ``texts`` to ``path`` one after another, each as soon as it comes."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8", newline="\n") as sink:
+    with _open_output(path) as sink:
         sink.writelines(texts)
 
 
-def _report_json(report: dict) -> str:
-    return json.dumps(report, indent=2) + "\n"
+def _check(name: str, passed: bool, max_residual: float, tolerance: float, **details) -> dict:
+    """One check's report record: its details sit between ``max_residual`` and ``tolerance``."""
+    return dict(name=name, passed=passed, max_residual=max_residual, **details, tolerance=tolerance)
 
 
 def _print_check(name: str, passed: bool, detail: str) -> None:
     print(f"{name}: {'pass' if passed else 'FAIL'} ({detail})")
 
 
+def _report(command: str, args: argparse.Namespace, config: ModelConfig, fields: dict) -> int:
+    """Write the header and then ``fields`` to ``--out``; exit 0 if ``fields["passed"]``, else 1."""
+    if args.out:
+        header = {"command": command, "model": str(args.model), "master_seed": config.master_seed}
+        _write_text(Path(args.out), [json.dumps({**header, **fields}, indent=2) + "\n"])
+    return 0 if fields["passed"] else 1
+
+
 def _finish_checks(
     command: str, args: argparse.Namespace, config: ModelConfig, checks: list[dict]
 ) -> int:
     """Print one line per check, write the report to ``--out``, return the exit code."""
-    report = {
-        "command": command,
-        "model": str(args.model),
-        "master_seed": config.master_seed,
-        "checks": checks,
-        "passed": all(c["passed"] for c in checks),
-    }
     for check in checks:
         detail = f"max residual {check['max_residual']:.3e}"
         if check.get("support_mismatches"):  # a failure about support, not about a residual
             detail += f"; {check['support_mismatches']} support mismatches"
         _print_check(check["name"], check["passed"], detail)
-    if args.out:
-        _write_text(Path(args.out), [_report_json(report)])
-    return 0 if report["passed"] else 1
+    passed = all(check["passed"] for check in checks)
+    return _report(command, args, config, {"checks": checks, "passed": passed})
 
 
 def _backward_path(out: Path) -> Path:
@@ -353,27 +356,15 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     realized = realize_model(config)
     checks = []
     for stage in realized.stages:
-        unit = validate_energy_preservation(stage.unitary, tolerance=1e-10)
-        checks.append(
-            {
-                "name": f"unitarity[collision {stage.index}]",
-                "passed": unit.passed,
-                "max_residual": unit.max_residual,
-                "tolerance": unit.tolerance,
-            }
-        )
-        balance = assert_detailed_balance(
-            stage.propagator, stage.beta, config.system, tolerance
-        )
-        checks.append(
-            {
-                "name": f"detailed_balance[collision {stage.index}]",
-                "passed": balance.passed,
-                "max_residual": balance.max_residual,
-                "worst_pair": list(balance.worst_pair),
-                "tolerance": balance.tolerance,
-            }
-        )
+        unit = validate_energy_preservation(stage.unitary)
+        balance = assert_detailed_balance(stage.propagator, stage.beta, config.system, tolerance)
+        checks += [
+            _check(f"unitarity[collision {stage.index}]", unit.passed, unit.max_residual, unit.tolerance),
+            _check(
+                f"detailed_balance[collision {stage.index}]", balance.passed,
+                balance.max_residual, balance.tolerance, worst_pair=list(balance.worst_pair),
+            ),
+        ]
     return _finish_checks("validate", args, config, checks)
 
 
@@ -419,12 +410,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
     route_gap = compare_distributions(forward, via_ancillas)
     checks = [
-        {
-            "name": "route_equivalence",
-            "passed": route_gap <= ROUTE_EQUIVALENCE_TOL,
-            "max_residual": route_gap,
-            "tolerance": ROUTE_EQUIVALENCE_TOL,
-        }
+        _check("route_equivalence", route_gap <= ROUTE_EQUIVALENCE_TOL, route_gap, ROUTE_EQUIVALENCE_TOL)
     ]
     reports = [
         ("joint_ft", verify_joint_ft(forward, backward, config, tolerance)),
@@ -439,17 +425,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 _partial_decomposition(forward, backward, singles[-1], shorter_backward, tolerance),
             )
         )
-    for name, result in reports:
-        checks.append(
-            {
-                "name": name,
-                "passed": result.passed,
-                "max_residual": result.max_log_residual,
-                "checked_pairs": result.checked_pairs,
-                "support_mismatches": len(result.support_mismatches),
-                "tolerance": tolerance,
-            }
+    checks += [
+        _check(
+            name, result.passed, result.max_log_residual, tolerance,
+            checked_pairs=result.checked_pairs, support_mismatches=len(result.support_mismatches),
         )
+        for name, result in reports
+    ]
     return _finish_checks("verify", args, config, checks)
 
 
@@ -470,9 +452,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         shots=args.shots, master_seed=seed, worker_count=args.workers
     )
     if args.dump:
-        dump_path = Path(args.dump)
-        dump_path.parent.mkdir(parents=True, exist_ok=True)
-        with dump_path.open("w", encoding="utf-8", newline="\n") as sink:
+        with _open_output(Path(args.dump)) as sink:
             summary = _sample(config, sampler_config, sink.write)
     else:
         summary = _sample(config, sampler_config)
@@ -504,10 +484,7 @@ def _cmd_entropy(args: argparse.Namespace) -> int:
     _print_check(
         "entropy_consistency", report.passed, f"max pairwise gap {report.max_pairwise_gap:.3e}"
     )
-    if args.out:
-        header = {"command": "entropy", "model": str(args.model), "master_seed": config.master_seed}
-        _write_text(Path(args.out), [_report_json({**header, **asdict(report)})])
-    return 0 if report.passed else 1
+    return _report("entropy", args, config, asdict(report))
 
 
 def _int_at_least(low: int):

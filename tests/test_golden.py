@@ -269,3 +269,43 @@ def test_larger_outputs_match_golden_digests(large_workdir, name):
         for path in digests
     }
     assert actual == digests
+
+
+# validate on both demos, console lines and report: the resonant chain
+# passes, and haar_thirds fails detailed balance on its 3-member shells.
+GOLDEN_VALIDATE = {
+    "resonant_chain.json": (
+        0,
+        "9b99a739c1b64f9929d7c38994e9ea051bb152c7a2a2d4710fc210a2e6477c02",
+        [
+            "unitarity[collision 1]: pass (max residual 1.015e-17)",
+            "detailed_balance[collision 1]: pass (max residual 1.470e-16)",
+            "unitarity[collision 2]: pass (max residual 1.015e-17)",
+            "detailed_balance[collision 2]: pass (max residual 0.000e+00)",
+            "unitarity[collision 3]: pass (max residual 1.015e-17)",
+            "detailed_balance[collision 3]: pass (max residual 0.000e+00)",
+        ],
+    ),
+    "haar_thirds.json": (
+        1,
+        "b8c589fe21b32a0859a515dacbc6f133f455653a6c46e7623a13725fcbb36ac0",
+        [
+            "unitarity[collision 1]: pass (max residual 1.110e-15)",
+            "detailed_balance[collision 1]: FAIL (max residual 4.020e-01)",
+            "unitarity[collision 2]: pass (max residual 1.110e-15)",
+            "detailed_balance[collision 2]: FAIL (max residual 2.839e-01)",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("model", sorted(GOLDEN_VALIDATE))
+def test_validate_reports_match_golden_digests(tmp_path, monkeypatch, capsys, model):
+    expected_exit, digest, lines = GOLDEN_VALIDATE[model]
+    shutil.copy(MODELS / model, tmp_path / model)
+    monkeypatch.chdir(tmp_path)
+    assert dispatch(["validate", model, "--out", "validate.json"]) == expected_exit
+    *checks, elapsed = capsys.readouterr().out.splitlines()
+    assert checks == lines
+    assert elapsed.startswith("elapsed: ")
+    assert hashlib.sha256((tmp_path / "validate.json").read_bytes()).hexdigest() == digest
