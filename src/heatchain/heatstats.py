@@ -28,7 +28,7 @@ sampled shots use it too, with masses ``count / shots`` in order of first
 appearance.  The public Fraction-keyed ``entries`` dict of such a law is
 built only when a caller first touches it.  Hand-built and parsed laws,
 and empirical laws of mixed or hand-built records, are encoded once, on
-first use, by ranking each distinct Fraction object.  Laws on
+first use, by ranking their distinct heat values by value.  Laws on
 different registries (those of other chains, hand-built laws) are
 matched by translating their registries by value.
 
@@ -63,8 +63,8 @@ sampler block of a dump) is a ``(rows, cells)`` object array of text, joined
 once (``_text_block``), or 256 dump lines at a time.  The export writers
 (``_csv_texts``, ``_json_texts``) yield a law's head, each block and its tail
 in turn; ``heatchain exact`` writes each text as it comes, so it holds one
-block, never the whole law's text, while :func:`distribution_to_csv` and
-``_distribution_json_text`` join the same texts.  A list column is cut
+block, never the whole law's text, while :func:`distribution_to_csv` joins
+the same texts.  A list column is cut
 into runs of up to ``c`` consecutive ids; a run's ids, read as one number,
 index a table of the run's joined texts with separators appended
 (``_list_tables``), so a row of N items takes about N / c lookups.  Floats,
@@ -212,22 +212,13 @@ def _coded_law(
 
 
 def _codes(dist: JointHeatDistribution) -> _Codes:
-    """The law's codes, encoding a Fraction-keyed law once on first use.
-
-    Keys share a few Fraction objects, so every distinct object is ranked
-    once and cells are looked up by object identity.
-    """
+    """The law's codes, encoding a Fraction-keyed law once on first use, ranked by value."""
     codes = dist.__dict__.get("_codes")
     if codes is None:
         entries = dist.entries
-        objects = {id(q): q for key in entries for q in key}
-        values = tuple(sorted(set(objects.values())))
+        values = tuple(sorted({q for key in entries for q in key}))
         rank = {q: r for r, q in enumerate(values)}
-        id_of = {i: rank[q] for i, q in objects.items()}
-        flat = np.fromiter(
-            map(id_of.__getitem__, map(id, chain.from_iterable(entries))),
-            dtype=_id_dtype(len(values)),
-        )
+        flat = np.fromiter(map(rank.__getitem__, chain.from_iterable(entries)), dtype=_id_dtype(len(values)))
         masses = np.fromiter(entries.values(), dtype=float, count=len(entries))
         codes = _Codes(values, flat.reshape(len(entries), dist.n_collisions), masses)
         object.__setattr__(dist, "_codes", codes)
@@ -1018,13 +1009,8 @@ def _csv_texts(dist: JointHeatDistribution, include_exact: bool = False) -> Iter
         yield _text_block(len(rows), [heats[..., 0], probs, ",", heats[..., 1]] if exact else [heats, probs, "\n"])
 
 
-def _distribution_json_text(dist: JointHeatDistribution) -> str:
-    """``json.dumps(distribution_to_json(dist), indent=2) + "\\n"``, joined from :func:`_json_texts`."""
-    return "".join(_json_texts(dist))
-
-
 def _json_texts(dist: JointHeatDistribution) -> Iterator[str]:
-    """The text of :func:`_distribution_json_text`: its head, each block of entries, then its tail.
+    """``json.dumps(distribution_to_json(dist), indent=2) + "\\n"``: its head, each block of entries, then its tail.
 
     The entries are laid out as the indenting encoder lays them out; a
     span of masses with a ``nan`` or ``inf`` is formatted by the encoder

@@ -167,7 +167,7 @@ class EmpiricalJoint:
         if name != "stderr" or tallies is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         n, entries = self.shots, self.distribution.entries
-        stderr = _by_count(entries, tallies, lambda c: math.sqrt(c / n * (1.0 - c / n) / n))
+        stderr = {key: math.sqrt(c / n * (1.0 - c / n) / n) for key, c in zip(entries, tallies)}
         object.__setattr__(self, "stderr", stderr)
         return stderr
 
@@ -800,18 +800,6 @@ class _Tally:
         return _summary(law, tallies, shots, self.exp_sum, self.exp_sq_sum)
 
 
-def _by_count(keys: dict, tallies: list[int], value: Callable[[int], float]) -> dict:
-    """``value(count)`` for each key of ``keys``, in order, given its count in ``tallies``."""
-    # dict.fromkeys on a dict reuses its stored hashes, so only keys whose
-    # count differs from the most common one are hashed again.
-    common = Counter(tallies).most_common(1)[0][0]
-    result = dict.fromkeys(keys, value(common))
-    for key, count in zip(keys, tallies):
-        if count != common:
-            result[key] = value(count)
-    return result
-
-
 def _summary(
     law: JointHeatDistribution, tallies: list[int], shots: int, exp_sum: float, exp_sq_sum: float
 ) -> SampleSummary:
@@ -848,8 +836,7 @@ def _record_summary(
         raise ValueError(f"received {seen} records, expected {total}")
     if total == 0:
         raise ValueError("need at least one record")
-    # dict() copies the Counter with its hashes; dict.fromkeys reuses only an exact dict's.
-    entries = _by_count(dict(counts), tallies, lambda count: count / total)
+    entries = {key: count / total for key, count in counts.items()}
     law = JointHeatDistribution(entries, "forward", n_collisions)
     return _summary(law, tallies, total, exp_sum, exp_sq_sum)
 

@@ -473,6 +473,16 @@ LARGE_MODELS = {
     "haar-d3-4": haar_chain(3, [0.4, 2.0, 1.1, 6.0]),
     # Betas whose exponent sums round differently when added out of order.
     "uneven-betas-5": swap_chain([2.61, 0.17, 0.71, 0.17, 0.1], [0.7] * 5),
+    # Cyclic shifts: each stage has a pair of levels joined one way only.
+    "one-sided-3": ModelConfig(
+        system=Spectrum((Fraction(0), Fraction(1), Fraction(2))),
+        system_beta=0.7,
+        ancillas=tuple(
+            AncillaSpec(Spectrum((Fraction(0), Fraction(1), Fraction(2))), beta, UnitarySpec.permutation(shift=1))
+            for beta in (0.5, 1.3, 2.0)
+        ),
+        master_seed=1,
+    ),
 }
 
 

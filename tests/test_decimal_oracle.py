@@ -7,7 +7,10 @@ Each gate runs on every model below:
 2. every key it drops carries oracle mass below ``PRUNE_THRESHOLD``;
 3. the oracle checks itself: with the time-reversed propagators ``M~``
    swept in reverse collision order, the joint exchange identity holds to
-   1e-50 on every key, and no key is one-sided.
+   1e-50 on every key, and no key is one-sided;
+4. so do its product form and the peel-off of the last collision, and no
+   key of a single-collision law or of a law without the last collision is
+   one-sided.
 
 The package's backward law is not compared here: it reuses the forward
 propagators, which is the time-reversed protocol only when each one keeps
@@ -19,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from decimal_oracle import identity_residuals, laws
+from decimal_oracle import factor_laws, factor_residuals, identity_residuals, laws, unpaired
 from heatchain import exact_forward_joint
 from heatchain.cli import load_model_file, parse_model
 from heatchain.heatstats import PRUNE_THRESHOLD
@@ -63,3 +66,15 @@ def test_oracle_laws_keep_the_exchange_identity(case):
     worst, one_sided = identity_residuals(model, forward, backward)
     assert not one_sided
     assert worst < Decimal("1e-50")
+
+
+def test_oracle_laws_keep_the_product_form_and_the_peel_off(case):
+    model, _, (forward, backward) = case
+    factors = factor_laws(model)
+    for single, single_rev in factors.singles:
+        assert not unpaired(single, single_rev)
+    assert set(factors.shorter_forward) == {key[:-1] for key in forward}
+    assert not unpaired(factors.shorter_forward, factors.shorter_backward)
+    product, peel_off = factor_residuals(forward, backward, factors)
+    assert product < Decimal("1e-50")
+    assert peel_off < Decimal("1e-50")

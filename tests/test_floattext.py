@@ -26,7 +26,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from heatchain import JointHeatDistribution, exact_backward_joint, exact_forward_joint, floattext, heatstats
-from heatchain.cli import parse_model
+from heatchain.cli import _distribution_text, parse_model
 
 from test_writers import assert_writers_match
 
@@ -161,7 +161,7 @@ def test_a_span_with_nan_or_inf_keeps_the_encoders_spelling(monkeypatch):
     dist = hand_law(masses)
     assert_writers_match(dist)
     assert calls and set(calls) == {heatstats._EXPORT_SPAN_ROWS}  # the first span of each export
-    text = heatstats._distribution_json_text(dist)
+    text = _distribution_text(dist, "json")
     assert '"probability": NaN' in text and '"probability": Infinity' in text
     csv = heatstats.distribution_to_csv(dist)
     assert ",nan\n" in csv and ",inf\n" in csv

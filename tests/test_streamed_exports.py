@@ -75,7 +75,7 @@ def test_exact_builds_no_whole_law_text(tmp_path, monkeypatch, fmt):
     def whole_text(*args, **kwargs):
         raise AssertionError("exact joined a whole law")
 
-    for owner, name in [(heatstats, "distribution_to_csv"), (heatstats, "_distribution_json_text"), (cli, "_distribution_text")]:
+    for owner, name in [(heatstats, "distribution_to_csv"), (cli, "_distribution_text")]:
         monkeypatch.setattr(owner, name, whole_text)
     out = tmp_path / f"dist.{fmt}"
     assert dispatch(["exact", str(DEMO), "--format", fmt, "--out", str(out)]) == 0
