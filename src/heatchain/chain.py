@@ -13,7 +13,7 @@ beta; otherwise a time-reversed collision has its own propagator.
 Realization.  :func:`realize_model` groups the collisions by ancilla
 spectrum once, and ``RealizedModel.groups`` keeps one read-only
 :class:`SpectrumGroup` per distinct spectrum, in order of first use, which
-the heat-id and sampler tables read.  What depends on the spectra alone is
+the heat-id and jump tables read.  What depends on the spectra alone is
 built once per group and shared, read-only, by its collisions: the shells
 tuple (cached by ``build_energy_shells``, so sub-models reuse it too), its
 flat index arrays and its heat-id table.  What differs per collision is
@@ -396,3 +396,31 @@ def realize_model(config: ModelConfig) -> RealizedModel:
             )
         records.append(record)
     return RealizedModel(config, system_state, tuple(stages), tuple(records))
+
+
+def _jump_grid(realized: RealizedModel) -> tuple[np.ndarray, ...]:
+    """Every collision's nonzero jumps on one grid ``[alpha, i, n, slot]``, padded with zeros.
+
+    Its parts are the count of input ``(alpha, n)``'s jumps at collision
+    ``i`` and, per slot in output-member order, each jump's weight and the
+    system and ancilla levels it leads to.
+    """
+    width = max(group.spectrum.dim for group in realized.groups)
+    widest = max(shell.size for group in realized.groups for shell in group.shells)
+    weight = np.zeros((realized.config.system.dim, len(realized.stages), width, widest))
+    level, ancilla = np.zeros((2, *weight.shape), dtype=np.intp)
+    for group in realized.groups:
+        index = _shell_index(group.shells)
+        k, e = np.nonzero(group.probs)
+        inputs = k * len(index.system) + index.into[e]  # by collision, then input member
+        order = np.lexsort((index.out[e], inputs))
+        k, e, inputs = k[order], e[order], inputs[order]
+        into, out = index.into[e], index.out[e]
+        slot = np.arange(len(e)) - np.searchsorted(inputs, inputs)  # place among its input's jumps
+        cell = index.system[into], np.array(group.collisions)[k], index.ancilla[into], slot
+        weight[cell] = group.probs[k, e]
+        level[cell] = index.system[out]
+        ancilla[cell] = index.ancilla[out]
+    count = np.count_nonzero(weight, axis=-1)
+    span = int(count.max())
+    return count, weight[..., :span], level[..., :span], ancilla[..., :span]

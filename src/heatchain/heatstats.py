@@ -40,9 +40,9 @@ directions, and a fresh single collision is one layer swept alone, so the
 laws that ``verify`` compares (forward, backward, each single collision,
 and the backward run without the last collision) are swept off one
 realization and one list of layers.  The via-ancilla route steps through
-each collision's jumps, read off its jump probabilities through the
-``jumps`` index of its shells (the table the sampler reads too), and reads
-heats off the ancillas.  Paths come out in depth-first order and every
+each collision's jumps, read off the chain's one jump grid
+(``chain._jump_grid``, the table the sampler reads too), and reads heats
+off the ancillas.  Paths come out in depth-first order and every
 weight and sum is formed in that order, so the laws are bit-identical to a
 path-by-path loop.  Paths are grouped by key code in ``_first_occurrence``:
 through a table indexed by code when the codes are dense, by a sort
@@ -83,15 +83,17 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain, product
 from operator import itemgetter
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .chain import CollisionStage, RealizedModel, realize_model
+from .chain import CollisionStage, RealizedModel, _jump_grid, realize_model
 from .model import (
     EnumerationCapError,
     ModelConfig,
@@ -99,7 +101,6 @@ from .model import (
     format_rational,
     parse_rational,
 )
-from .unitaries import _shell_index
 
 __all__ = [
     "PRUNE_THRESHOLD",
@@ -362,27 +363,23 @@ def _ancilla_layers(realized: RealizedModel) -> list[_Layer]:
     """Per collision, the nonzero jumps ``(alpha', n')`` of each input ``(alpha, n)``, ``n`` occupied.
 
     Inputs go by system level and then ancilla level, each one's jumps in
-    output order.  A spectrum group's layers are read at once off its
-    stacked jump probabilities through the shells' ``jumps`` index.
+    output order: a spectrum group's layers are read at once off the chain's
+    jump grid (``chain._jump_grid``), its collisions first.
     """
     dim = realized.config.system.dim
+    _, *grid = _jump_grid(realized)
     layers = [None] * len(realized.stages)
     for group in realized.groups:
-        index = _shell_index(group.shells)
-        inputs = np.lexsort((index.ancilla, index.system))
-        jumps, n_in = index.jumps[inputs], index.ancilla[inputs]
-        q = group.populations
-        probs = np.pad(group.probs, ((0, 0), (0, 1)))[:, jumps]
-        k, r, c = np.nonzero((probs != 0.0) & (q[:, n_in] != 0.0)[:, :, None])
-        out, n_in = index.out[jumps[r, c]], n_in[r]
-        n_out = index.ancilla[out]
-        fan = np.bincount(k * dim + index.system[inputs][r], minlength=len(q) * dim)
-        fan = fan.reshape(-1, dim)
+        at, q = list(group.collisions), group.populations
+        weights, levels, ancillas = (part[:, at, : q.shape[1]].swapaxes(0, 1) for part in grid)
+        k, a, n_in, s = np.nonzero((weights != 0.0) & (q != 0.0)[:, None, :, None])
+        n_out = ancillas[k, a, n_in, s]
+        fan = np.bincount(k * dim + a, minlength=len(q) * dim).reshape(-1, dim)
         columns = (
-            index.system[out].astype(np.min_scalar_type(dim - 1)),
+            levels[k, a, n_in, s].astype(np.min_scalar_type(dim - 1)),
             realized.heat_ids[group.spectrum].T[n_in, n_out],
             q[k, n_in],
-            probs[k, r, c],
+            weights[k, a, n_in, s],
         )
         ends = np.cumsum(fan.sum(axis=1)).tolist()
         for i, f, lo, hi in zip(group.collisions, fan, [0] + ends, ends):
@@ -595,11 +592,9 @@ def marginalize(dist: JointHeatDistribution, keep: int | Sequence[int]) -> Joint
     ``keep`` is either a prefix length (kept coordinates 0..keep-1) or an
     explicit ordered list of coordinate positions.
     """
-    if isinstance(keep, int):
-        if not 0 < keep <= dist.n_collisions:
-            raise ValueError(f"prefix length {keep} out of range 1..{dist.n_collisions}")
-        coords: tuple[int, ...] = tuple(range(keep))
-    else:
+    try:
+        prefix = operator.index(keep)
+    except TypeError:
         coords = tuple(keep)
         if not coords:
             raise ValueError("must keep at least one coordinate")
@@ -608,6 +603,10 @@ def marginalize(dist: JointHeatDistribution, keep: int | Sequence[int]) -> Joint
         if len(set(coords)) < len(coords):
             repeated = next(c for at, c in enumerate(coords) if c in coords[:at])
             raise ValueError(f"coordinate {repeated} repeated in {coords}")
+    else:
+        if isinstance(keep, bool) or not 0 < prefix <= dist.n_collisions:
+            raise ValueError(f"prefix length {keep} is not an integer in 1..{dist.n_collisions}")
+        coords = tuple(range(prefix))
     values, ids, masses = _codes(dist)
     kept = ids[:, list(coords)]
     group, first = _first_occurrence(*_row_codes(kept, len(values)))
@@ -1062,11 +1061,12 @@ def distribution_to_json(dist: JointHeatDistribution) -> dict:
 
 def distribution_from_json(document: Mapping) -> JointHeatDistribution:
     """Inverse of :func:`distribution_to_json`; keys round-trip exactly."""
-    entries = _parsed_entries(document["entries"], itemgetter("heats"), itemgetter("probability"))
+    n, items = int(document["n_collisions"]), enumerate(document["entries"])
+    entries = _parsed_entries(items, n, "entries[{}]", itemgetter("heats"), itemgetter("probability"))
     return JointHeatDistribution(
         entries=entries,
         direction=document["direction"],
-        n_collisions=int(document["n_collisions"]),
+        n_collisions=n,
         pruned_mass=float(document.get("pruned_mass", 0.0)),
     )
 
@@ -1077,10 +1077,10 @@ def distribution_from_csv(text: str, direction: str = "forward") -> JointHeatDis
     The decimal heat columns are display only; keys are rebuilt from the
     exact "num/den" columns, so the map round-trips without float aliasing.
     """
-    lines = [line for line in text.splitlines() if line]
+    lines = [(at, line) for at, line in enumerate(text.splitlines(), 1) if line]
     if not lines:
         raise ModelError("empty distribution CSV")
-    header = lines[0].split(",")
+    header = lines[0][1].split(",")
     n = sum(1 for name in header if name.endswith("_exact"))
     if n == 0:
         raise ModelError("distribution CSV lacks the exact 'Q_i_exact' columns")
@@ -1088,17 +1088,30 @@ def distribution_from_csv(text: str, direction: str = "forward") -> JointHeatDis
         f"Q_{i}_exact" for i in range(1, n + 1)
     ]:
         raise ModelError(f"unexpected distribution CSV header {header!r}")
-    rows = (line.split(",") for line in lines[1:])
-    entries = _parsed_entries(rows, itemgetter(slice(n + 1, None)), itemgetter(n))
+    rows = ((at, line.split(",")) for at, line in lines[1:])
+    entries = _parsed_entries(rows, n, "line {}", itemgetter(slice(n + 1, None)), itemgetter(n))
     return JointHeatDistribution(entries=entries, direction=direction, n_collisions=n)
 
 
-def _parsed_entries(items, heats: Callable, probability: Callable) -> dict[HeatKey, float]:
-    """Key -> probability of each item, read in that order; a key repeated by value is an error."""
+def _parsed_entries(items, n: int, where: str, heats: Callable, probability: Callable) -> dict[HeatKey, float]:
+    """Key -> probability of each ``(number, item)``, read in that order.
+
+    An item without ``n`` heats and a numeric probability, or whose key
+    repeats another's by value, raises a ModelError naming it by ``where``.
+    """
     entries: dict[HeatKey, float] = {}
-    for item in items:
-        key = tuple(parse_rational(q) for q in heats(item))
-        if key in entries:
-            raise ModelError(f"heat key ({', '.join(map(format_rational, key))}) is repeated")
-        entries[key] = float(probability(item))
+    parse = lru_cache(maxsize=None, typed=True)(parse_rational)  # once per text; typed: True is not 1
+    for at, item in items:
+        try:
+            texts = heats(item)
+            if len(texts) != n:
+                raise ModelError(f"heat key has length {len(texts)}, not n_collisions={n}")
+            key, mass = tuple(map(parse, texts)), float(probability(item))
+            if key in entries:
+                raise ModelError(f"heat key ({', '.join(map(format_rational, key))}) is repeated")
+        except KeyError as exc:
+            raise ModelError(f"{where.format(at)} has no {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ModelError(f"{where.format(at)}: {exc}") from None
+        entries[key] = mass
     return entries

@@ -53,7 +53,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .chain import CollisionStage, RealizedModel, evolve, realize_model
+from .chain import CollisionStage, RealizedModel, _jump_grid, evolve, realize_model
 from .heatstats import (
     DEFAULT_ENUMERATION_CAP,
     HeatKey,
@@ -81,7 +81,6 @@ from .model import (
     shannon_entropy,
 )
 from .streams import substream
-from .unitaries import _shell_index
 
 __all__ = [
     "SamplerConfig",
@@ -192,21 +191,18 @@ class _SamplerTables:
     entry is +inf, like its padding, so the count of entries ``<= u`` is
     ``bisect_right`` clamped to the row's last index.  ``anc_columns[c, i]``
     is entry ``c`` of collision ``i``'s ancilla CDF, one column per array
-    row.  Jumps are stored flat, ``span`` slots per joint input of a
-    collision, one slot per nonzero jump: ``row_start[alpha * N * width + i
-    * width + n]`` is the first slot of joint input ``(alpha, n)`` at
-    collision ``i``, and ``cdf[slot]`` is the row's CDF entry there, so
-    stepping on to the next slot while that entry is ``<= u`` stops on the
-    pick within ``span - 1`` steps.  The other slot tables hold what a jump
+    row.  The slot tables are ``chain._jump_grid`` flattened: row ``(alpha *
+    N + i) * width + n`` holds joint input ``(alpha, n)`` of collision ``i``
+    in ``span`` slots, one per nonzero jump, so its first slot is found by
+    arithmetic, and stepping on while ``cdf[slot] <= u`` stops on the pick
+    within ``span - 1`` steps.  The other slot tables hold what a jump
     determines: its system level (also pre-scaled by ``N * width``, for the
-    next ``row_start`` read), its system-side heat id, its ancilla pair
-    code, its heat-form term of sigma and its term of the log path
-    probability.  The ancilla side of each consistency check, heat ids and
-    the log form of sigma, is read from ``anc_heat_id`` and ``log_q`` at
-    sampling time instead.  Slots are filled a spectrum group at a time, from
-    the stacked jump probabilities that ``RealizedModel.groups`` keeps, read
-    through the ``jumps`` index of the group's shells; the ancilla columns,
-    ``log_q`` and ``anc_heat_id`` are filled from its stacked populations.
+    next row), its system-side heat id, its ancilla pair code, its heat-form
+    term of sigma and its term of the log path probability.  The ancilla
+    side of each consistency check, heat ids and the log form of sigma, is
+    read from ``anc_heat_id`` and ``log_q`` at sampling time instead; they
+    and the ancilla columns are filled from each spectrum group's stacked
+    populations.
     """
 
     def __init__(self, model: ModelConfig) -> None:
@@ -225,64 +221,34 @@ class _SamplerTables:
         self.heat_fraction: tuple[Fraction, ...] = realized.heat_values
         self.code_dtype = realized.heat_ids[model.system].dtype
         self.anc_heat_id = np.zeros((n, width, width), dtype=self.code_dtype)
-        inputs = np.zeros(n, dtype=np.intp)  # joint inputs per collision
         for group in realized.groups:
             at, q = list(group.collisions), group.populations
             d = q.shape[1]
             self.anc_columns[: d - 1, at] = np.cumsum(q, axis=1)[:, :-1].T
             self.log_q[at, :d] = _logs(q.ravel()).reshape(q.shape)
             self.anc_heat_id[at, :d, :d] = realized.heat_ids[group.spectrum].T
-            inputs[at] = dim * d
 
-        # One row per joint input of each collision, in collision order and
-        # then in shell member order; a row's slots hold its nonzero jumps in
-        # output order, read off each group's stacked probs through the
-        # shells' ``jumps`` index.
-        first_row = np.concatenate(([0], np.cumsum(inputs)))
-        widest = max(shell.size for group in realized.groups for shell in group.shells)
-        weight = np.zeros((first_row[-1], widest))
-        level, heat, pair = (np.zeros((first_row[-1], widest), dtype=np.intp) for _ in range(3))
-        sigma_term, log_p_term = np.zeros_like(weight), np.zeros_like(weight)
-        count = np.zeros(first_row[-1], dtype=np.intp)
-        row_of = np.zeros((dim, n, width), dtype=np.intp)
-        heat_value = np.array([float(value) for value in self.heat_fraction])
-        for group in realized.groups:
-            index = _shell_index(group.shells)
-            members = len(index.system)
-            probs = np.pad(group.probs, ((0, 0), (0, 1)))  # the zero weight ``jumps`` pads with
-            k, r, c = np.nonzero(probs[:, index.jumps])
-            entry = index.jumps[r, c]
-            w = probs[k, entry]
-            per_row = np.bincount(k * members + r, minlength=len(probs) * members)
-            slot = np.arange(len(k)) - (np.cumsum(per_row) - per_row)[k * members + r]
-            at = np.array(group.collisions)
-            rows = first_row[at][:, None] + np.arange(members)
-            count[rows] = per_row.reshape(rows.shape)
-            row_of[index.system, at[:, None], index.ancilla] = rows
-            at, row, out = at[k], rows[k, r], index.out[entry]
-            weight[row, slot] = w
-            level[row, slot] = index.system[out]
-            heat[row, slot] = realized.heat_ids[model.system][index.system[r], index.system[out]]
-            pair[row, slot] = index.ancilla[r] * width + index.ancilla[out]
-            sigma_term[row, slot] = beta_diff[at] * heat_value[heat[row, slot]]
-            log_p_term[row, slot] = self.log_q[at, index.ancilla[r]] + _logs(w)
-
-        span = int(count.max())
+        count, weight, level, n_out = _jump_grid(realized)
+        span = self.span = weight.shape[-1]
         self.steps = span - 1
-        self.row_start = row_of.reshape(-1) * span
-        cdf = np.cumsum(weight[:, :span], axis=1)
-        cdf[np.arange(span) >= count[:, None] - 1] = np.inf
+        alpha, i, n_in, slot = np.ogrid[:dim, :n, :width, :span]
+        real = slot < count[..., None]
+        cdf = np.cumsum(weight, axis=-1)
+        cdf[slot >= count[..., None] - 1] = np.inf
         self.cdf = cdf.reshape(-1)
-        level = level[:, :span].reshape(-1)
+        heat = np.where(real, realized.heat_ids[model.system][alpha, level], 0)
+        self.heat = heat.reshape(-1)
+        level = level.reshape(-1)
         self.level_dtype = np.min_scalar_type(dim - 1)
         self.level = level.astype(self.level_dtype)
         stride = n * width
         self.scaled_level = (level * stride).astype(np.min_scalar_type((dim - 1) * stride))
-        self.heat = heat[:, :span].reshape(-1).astype(self.code_dtype)
         self.pair_dtype = np.min_scalar_type(width * width - 1)
-        self.pair = pair[:, :span].reshape(-1).astype(self.pair_dtype)
-        self.sigma_term = sigma_term[:, :span].reshape(-1)
-        self.log_p_term = log_p_term[:, :span].reshape(-1)
+        self.pair = np.where(real, n_in * width + n_out, 0).reshape(-1).astype(self.pair_dtype)
+        heat_value = np.array([float(value) for value in self.heat_fraction])
+        self.sigma_term = np.where(real, beta_diff[i] * heat_value[heat], 0.0).reshape(-1)
+        logs = _logs(weight.reshape(-1)).reshape(weight.shape)
+        self.log_p_term = np.where(real, self.log_q[i, n_in] + logs, 0.0).reshape(-1)
         self.cell_offset = np.arange(n) * width
         self.move_offset = self.cell_offset * width
 
@@ -319,14 +285,14 @@ def _walk(
 
     On entry ``slots[i]`` holds collision ``i``'s ancilla entry cell, ``i *
     width + n_in``; ``level`` is the initial system level times ``N *
-    width`` and ``jump_u[i]`` the jump uniforms of collision ``i``.  Each
-    collision reads its row's first slot at the cell plus the scaled level,
-    steps on while the row's CDF entry is ``<= u``, and leaves the picked
-    slot in ``slots[i]``.
+    width`` and ``jump_u[i]`` the jump uniforms of collision ``i``.  The cell
+    plus the scaled level is the row, whose first slot is the row times
+    ``span``; each collision steps on from there while the row's CDF entry
+    is ``<= u``, and leaves the picked slot in ``slots[i]``.
     """
     for slot, u_i in zip(slots, jump_u):
         slot += level
-        tables.row_start.take(slot, out=slot)
+        slot *= tables.span
         for _ in range(tables.steps):
             slot += tables.cdf.take(slot) <= u_i
         level = tables.scaled_level.take(slot)

@@ -90,10 +90,8 @@ class _ShellIndex(NamedTuple):
     blocks flatten shell by shell, each row-major, into one row: with
     ``first, size = spans[k]``, the block of shell ``k`` is the ``size x
     size`` matrix at ``row[first:]``, and entry ``e`` of the row leads from
-    input member ``into[e]`` to output member ``out[e]``.  ``jumps[r]``, the
-    jump table that the via-ancilla layers and the sampler read a row through,
-    lists input member ``r``'s entries by output member, padded with
-    ``len(out)``: the index of a zero weight appended to a row.
+    input member ``into[e]`` to output member ``out[e]``.  ``chain._jump_grid``
+    reads each input's nonzero jumps off such rows.
     """
 
     system: np.ndarray  # per member, its system level
@@ -101,7 +99,6 @@ class _ShellIndex(NamedTuple):
     shell: np.ndarray  # per member, its shell
     out: np.ndarray
     into: np.ndarray
-    jumps: np.ndarray
     spans: tuple[tuple[int, int], ...]
     position: Mapping[JointIndex, tuple[int, int]]  # member -> (shell, place in it)
 
@@ -114,12 +111,10 @@ def _shell_index(shells: tuple[EnergyShell, ...]) -> _ShellIndex:
     spans = []
     members = [member for shell in shells for member in shell.members]
     sizes = [shell.size for shell in shells]
-    jumps = np.full((len(members), max(sizes)), sum(size * size for size in sizes), dtype=np.intp)
     first = 0
     for size in sizes:
         spans.append((len(out), size))
         numbers = range(first, first + size)
-        jumps[numbers, :size] = (len(out) + np.arange(size * size)).reshape(size, size).T
         out += [i for i in numbers for _ in numbers]
         into += [j for _ in numbers for j in numbers]
         first += size
@@ -129,7 +124,6 @@ def _shell_index(shells: tuple[EnergyShell, ...]) -> _ShellIndex:
         np.repeat(np.arange(len(shells)), sizes),
         np.array(out, dtype=np.intp),
         np.array(into, dtype=np.intp),
-        jumps,
     ]
     for array in arrays:
         array.flags.writeable = False

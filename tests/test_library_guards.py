@@ -19,6 +19,7 @@ from heatchain import (
     compare_distributions,
     distribution_from_csv,
     distribution_from_json,
+    distribution_to_csv,
     exact_backward_joint,
     exact_forward_joint,
     marginalize,
@@ -31,6 +32,7 @@ from heatchain import (
     verify_joint_ft,
     verify_product_relation,
 )
+from heatchain import heatstats
 from heatchain.streams import substream
 
 QUBIT = Spectrum.from_values(["0", "1"])
@@ -179,6 +181,48 @@ def swap_on_diagonal_exchange_shell():
             ModelError, r"heat key \(1/1\) is repeated", id="json-repeated-value",
         ),
         pytest.param(
+            lambda: distribution_from_csv("Q_1,probability,Q_1_exact\n1,0.5,1,7\n"),
+            ModelError, r"^line 2: heat key has length 2, not n_collisions=1$", id="csv-extra-cell",
+        ),
+        pytest.param(
+            lambda: distribution_from_csv("Q_1,probability,Q_1_exact\n1,0.5\n"),
+            ModelError, r"^line 2: heat key has length 0, not n_collisions=1$", id="csv-short-row",
+        ),
+        pytest.param(
+            lambda: distribution_from_csv("Q_1,probability,Q_1_exact\n\n1,0.5,1\n0,half,0\n"),
+            ModelError, r"^line 4: could not convert string to float: 'half'$", id="csv-probability-text",
+        ),
+        pytest.param(
+            lambda: distribution_from_csv("Q_1,probability,Q_1_exact\n1,0.5,1/0\n"),
+            ModelError, r"^line 2: invalid rational '1/0'", id="csv-heat-text",
+        ),
+        pytest.param(
+            lambda: distribution_from_csv("Q_1,probability,Q_1_exact\n1,0.5,1\n1,0.5,2/2\n"),
+            ModelError, r"^line 3: heat key \(1/1\) is repeated$", id="csv-repeated-line",
+        ),
+        pytest.param(
+            lambda: distribution_from_json(
+                {"direction": "forward", "n_collisions": 1, "entries": [{"heats": ["1"], "probability": 1}, {}]}
+            ),
+            ModelError, r"^entries\[1\] has no 'heats'$", id="json-no-heats",
+        ),
+        pytest.param(
+            lambda: distribution_from_json({"direction": "forward", "n_collisions": 1, "entries": [{"heats": ["1"]}]}),
+            ModelError, r"^entries\[0\] has no 'probability'$", id="json-no-probability",
+        ),
+        pytest.param(
+            lambda: distribution_from_json(law_document(["1"], [True])),
+            ModelError, r"^entries\[1\]: invalid rational True$", id="json-bool-heat",
+        ),
+        pytest.param(
+            lambda: marginalize(qubit_laws()[1], True), ValueError, "prefix length True is not an integer",
+            id="marginalize-bool",
+        ),
+        pytest.param(
+            lambda: marginalize(qubit_laws()[1], np.int64(3)), ValueError, r"prefix length 3 is not an integer in 1\.\.2",
+            id="marginalize-int64-range",
+        ),
+        pytest.param(
             lambda: UnitarySpec.partial_swap(float("inf")), ModelError, "angle must be finite", id="swap-angle"
         ),
         pytest.param(
@@ -205,3 +249,30 @@ def swap_on_diagonal_exchange_shell():
 def test_guard_rejects_malformed_call(call, error, message):
     with pytest.raises(error, match=message):
         call()
+
+
+def test_marginalize_reads_any_integer_prefix_length():
+    forward = qubit_laws()[1]
+    want = list(marginalize(forward, 1).entries.items())
+    assert list(marginalize(forward, np.int64(1)).entries.items()) == want
+    assert list(marginalize(forward, np.array(1)).entries.items()) == want
+    assert list(marginalize(forward, np.array([0])).entries.items()) == want  # an array of coordinates
+
+
+def test_csv_reader_parses_each_distinct_heat_text_once(monkeypatch):
+    forward = exact_forward_joint(chain(QUBIT, [UnitarySpec.partial_swap(0.7 + 0.3 * i) for i in range(6)]))
+    text = distribution_to_csv(forward, include_exact=True)
+    rows = [line.split(",") for line in text.splitlines()[1:]]  # Q_1..Q_6, probability, Q_1_exact..Q_6_exact
+    calls = []
+    original = heatstats.parse_rational
+
+    def counted(value):
+        calls.append(value)
+        return original(value)
+
+    monkeypatch.setattr(heatstats, "parse_rational", counted)
+    parsed = distribution_from_csv(text)
+    assert list(parsed.entries.items()) == [(tuple(map(Fraction, cells[7:])), float(cells[6])) for cells in rows]
+    assert dict(parsed.entries) == dict(forward.entries)
+    assert sorted(calls) == sorted({cell for cells in rows for cell in cells[7:]})
+    assert len(calls) < len(rows)

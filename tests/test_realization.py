@@ -159,16 +159,19 @@ def reference_tables(model: ModelConfig, ref: dict) -> dict:
     anc_columns = np.full((width - 1, n), np.inf)
     log_q = np.zeros((n, width))
     anc_heat_id = np.zeros((n, width, width), dtype=ref["system_heat_ids"].dtype)
-    rows = []
-    row_of = np.zeros((dim, n, width), dtype=np.intp)
     for i, stage in enumerate(ref["stages"]):
         q = stage["state"].populations
         anc_columns[: len(q) - 1, i] = np.cumsum(q)[:-1]
         log_q[i, : len(q)] = logs(q)
         anc_heat_id[i, : len(q), : len(q)] = ref["ancilla_heat_ids"][i]
-        for (alpha, n_in), outcomes in stage["outcomes"].items():
-            row_of[alpha, i, n_in] = len(rows)
-            rows.append((i, alpha, n_in, outcomes))
+    # Row (alpha * N + i) * width + n_in is joint input (alpha, n_in) of
+    # collision i; an ancilla level past collision i's spectrum has no jumps.
+    rows = [
+        (i, alpha, n_in, ref["stages"][i]["outcomes"].get((alpha, n_in), ()))
+        for alpha in range(dim)
+        for i in range(n)
+        for n_in in range(width)
+    ]
     span = max(len(outcomes) for *_, outcomes in rows)
     heat_value = [float(value) for value in ref["heat_values"]]
     sys_heat_id = ref["system_heat_ids"].tolist()
@@ -176,7 +179,8 @@ def reference_tables(model: ModelConfig, ref: dict) -> dict:
     slots = []
     for i, alpha, n_in, outcomes in rows:
         cdf = list(accumulate(w for _, _, w in outcomes))
-        cdf[-1] = math.inf
+        if outcomes:
+            cdf[-1] = math.inf
         for entry, (alpha_out, n_out, w) in zip(cdf, outcomes):
             hid = sys_heat_id[alpha][alpha_out]
             slots.append((
@@ -193,7 +197,7 @@ def reference_tables(model: ModelConfig, ref: dict) -> dict:
         "log_q": log_q,
         "anc_heat_id": anc_heat_id,
         "steps": span - 1,
-        "row_start": row_of.reshape(-1) * span,
+        "span": span,
         "cdf": np.array(cdf),
         "level": np.array(level, dtype=np.min_scalar_type(dim - 1)),
         "scaled_level": np.array(
