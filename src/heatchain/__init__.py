@@ -9,82 +9,11 @@ reversed protocols, along with three equivalent accounts of the average
 entropy production.
 """
 
-from .model import (
-    AncillaSpec,
-    ConsistencyError,
-    EnumerationCapError,
-    ModelConfig,
-    ModelError,
-    Spectrum,
-    ThermalState,
-    format_rational,
-    gibbs_state,
-    kl_divergence,
-    parse_rational,
-    shannon_entropy,
-    single_collision_model,
-    truncated_model,
-)
-from .unitaries import (
-    CollisionUnitary,
-    EnergyShell,
-    TransitionTensor,
-    UnitarySpec,
-    build_energy_shells,
-    haar_unitary,
-    realize_unitary,
-    transition_tensor,
-    validate_energy_preservation,
-)
-from .chain import (
-    CollisionStage,
-    DetailedBalanceReport,
-    Propagator,
-    RealizedModel,
-    assert_detailed_balance,
-    backward_path_probability,
-    evolve,
-    forward_path_probability,
-    propagator_from_tensor,
-    realize_model,
-)
-from .heatstats import (
-    FTReport,
-    JointHeatDistribution,
-    compare_distributions,
-    distribution_from_csv,
-    distribution_from_json,
-    distribution_to_csv,
-    distribution_to_json,
-    exact_backward_joint,
-    exact_forward_joint,
-    exact_forward_joint_via_ancilla_paths,
-    integral_ft_expectation,
-    iter_augmented_paths,
-    marginalize,
-    single_collision_distribution,
-    total_variation,
-    verify_joint_ft,
-    verify_partial_decomposition,
-    verify_product_relation,
-)
-from .sampler import (
-    AugmentedTrajectory,
-    EmpiricalJoint,
-    EntropyReport,
-    SampleSummary,
-    SamplerConfig,
-    TrajectoryRecord,
-    ancilla_post_state,
-    average_entropy_production,
-    empirical_joint,
-    entropy_production,
-    heats_from_ancilla_path,
-    heats_from_system_path,
-    iter_trajectories,
-    sample_trajectory,
-    summarize_samples,
-)
-from .streams import substream
+from .model import *
+from .unitaries import *
+from .chain import *
+from .heatstats import *
+from .sampler import *
+from .streams import *
 
 __version__ = "0.1.0"

@@ -46,6 +46,7 @@ import numpy as np
 from .model import ModelConfig, ModelError, Spectrum, ThermalState, _gibbs_rows, gibbs_state
 from .streams import substream
 from .unitaries import (
+    REALIZATION_TOL,
     CollisionUnitary,
     EnergyShell,
     TransitionTensor,
@@ -140,7 +141,7 @@ def assert_detailed_balance(
     propagator: Propagator,
     beta: float,
     system: Spectrum,
-    tolerance: float = 1e-10,
+    tolerance: float = REALIZATION_TOL,
 ) -> DetailedBalanceReport:
     """Check ``M(a|b) exp(-beta E_b) = M(b|a) exp(-beta E_a)`` pairwise.
 
@@ -149,6 +150,8 @@ def assert_detailed_balance(
     maximum for negative beta) so that every exponent is at most 0 and
     large |beta| cannot overflow.  beta is the *ancilla* temperature; it is
     what makes the system's Gibbs vector at that temperature stationary.
+    A NaN entry gives a NaN residual, which is the worst and fails; the
+    first pair to reach it is reported.
     """
     energies = system.as_floats()
     shifted = energies - (energies.max() if beta < 0 else energies.min())
@@ -159,9 +162,8 @@ def assert_detailed_balance(
         for a in range(b + 1, len(energies)):
             lhs = float(m[a, b]) * math.exp(-beta * shifted[b])
             rhs = float(m[b, a]) * math.exp(-beta * shifted[a])
-            scale = max(lhs, rhs)
-            residual = 0.0 if scale == 0.0 else abs(lhs - rhs) / scale
-            if residual > worst:
+            residual = abs(lhs - rhs) / (max(lhs, rhs) or 1.0)  # divides by 1 when the larger side is 0
+            if not residual <= worst and worst == worst:  # NaN wins, and then keeps the lead
                 worst = residual
                 worst_pair = (b, a)
     return DetailedBalanceReport(

@@ -51,6 +51,7 @@ from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 from .chain import assert_detailed_balance, realize_model
 from .heatstats import (
     DEFAULT_ENUMERATION_CAP,
+    DEFAULT_TOLERANCE,
     _csv_texts,
     _json_texts,
     _partial_decomposition,
@@ -71,19 +72,19 @@ from .model import (
     parse_rational,
 )
 from .sampler import SamplerConfig, _post_states, _sample, average_entropy_production
-from .unitaries import UnitarySpec, validate_energy_preservation
+from .unitaries import REALIZATION_TOL, UnitarySpec, validate_energy_preservation
 
 __all__ = ["parse_model", "load_model_file", "RunSettings", "dispatch", "main"]
 
 ROUTE_EQUIVALENCE_TOL = 1e-12
-DEFAULT_DETAILED_BALANCE_TOL = 1e-10
+DEFAULT_DETAILED_BALANCE_TOL = REALIZATION_TOL
 
 
 @dataclass(frozen=True)
 class RunSettings:
     """Document-level defaults that individual commands may override."""
 
-    tolerance: float = 1e-9
+    tolerance: float = DEFAULT_TOLERANCE
     enumeration_cap: int = DEFAULT_ENUMERATION_CAP
 
 
@@ -240,7 +241,7 @@ def parse_model(document: Mapping) -> ModelConfig:
 
 
 def _settings(document: Mapping) -> RunSettings:
-    tolerance = _number(document.get("tolerance", 1e-9), "tolerance")
+    tolerance = _number(document.get("tolerance", DEFAULT_TOLERANCE), "tolerance")
     if tolerance < 0:
         raise _fail("tolerance", "must be at least 0")
     cap = document.get("enumeration_cap", DEFAULT_ENUMERATION_CAP)

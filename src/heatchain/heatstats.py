@@ -128,6 +128,7 @@ __all__ = [
 
 PRUNE_THRESHOLD = 1e-15
 DEFAULT_ENUMERATION_CAP = 10**8
+DEFAULT_TOLERANCE = 1e-9  # of the identity checks, and of entropy's three accounts
 
 # One-sided support below this mass is attributed to pruning on the other
 # side rather than reported as a mismatch.
@@ -590,7 +591,7 @@ def marginalize(dist: JointHeatDistribution, keep: int | Sequence[int]) -> Joint
     """Sum out heat coordinates, keeping a prefix or an arbitrary subset.
 
     ``keep`` is either a prefix length (kept coordinates 0..keep-1) or an
-    explicit ordered list of coordinate positions.
+    explicit ordered list of integer coordinate positions (a bool is neither).
     """
     try:
         prefix = operator.index(keep)
@@ -598,8 +599,9 @@ def marginalize(dist: JointHeatDistribution, keep: int | Sequence[int]) -> Joint
         coords = tuple(keep)
         if not coords:
             raise ValueError("must keep at least one coordinate")
-        if any(not 0 <= c < dist.n_collisions for c in coords):
-            raise ValueError(f"coordinates {coords} out of range for N={dist.n_collisions}")
+        if any(isinstance(c, bool) or not hasattr(c, "__index__") or not 0 <= c < dist.n_collisions for c in coords):
+            raise ValueError(f"coordinates {coords} are not integers in 0..{dist.n_collisions - 1}")
+        coords = tuple(map(operator.index, coords))
         if len(set(coords)) < len(coords):
             repeated = next(c for at, c in enumerate(coords) if c in coords[:at])
             raise ValueError(f"coordinate {repeated} repeated in {coords}")
@@ -646,9 +648,9 @@ class FTReport:
 
 
 def _logs(values: np.ndarray) -> np.ndarray:
-    # math.log, not np.log, whose last bit may differ; non-positive values give -inf.
-    logs = np.fromiter(map(math.log, np.where(values > 0, values, 1.0).tolist()), float, len(values))
-    return np.where(values > 0, logs, -math.inf)
+    # math.log, not np.log, whose last bit may differ; non-positive values give -inf, and NaN gives NaN.
+    logs = np.fromiter(map(math.log, np.where(values <= 0, 1.0, values).tolist()), float, len(values))
+    return np.where(values <= 0, -math.inf, logs)
 
 
 def _exponents(values: Sequence[Fraction], ids: np.ndarray, model: ModelConfig) -> np.ndarray:
@@ -695,6 +697,7 @@ def _check_log_ratio(
     without a partner or a right-hand side is a mismatch unless its mass
     could have been pruned (``strict_rhs`` drops that allowance for the
     right-hand side).  ``orphans`` are mismatch rows the caller found.
+    The worst residual is ``np.max`` of the magnitudes, so a NaN wins it.
     """
     p_fwd = _codes(forward).masses
     pairing = forward.__dict__.get("_pairing")
@@ -712,8 +715,7 @@ def _check_log_ratio(
     residual = ratio[checked]
     for term in terms:
         residual -= term[checked]
-    magnitude = np.abs(residual)
-    worst = float(np.max(magnitude, initial=0.0, where=~np.isnan(magnitude)))
+    worst = float(np.max(np.abs(residual), initial=0.0))
     rows = fwd[lost] if orphans is None else np.concatenate([orphans, fwd[lost]])
     mismatches = tuple(
         tuple(map(values.__getitem__, row))
@@ -732,7 +734,7 @@ def verify_joint_ft(
     forward: JointHeatDistribution,
     backward: JointHeatDistribution,
     model: ModelConfig,
-    tolerance: float = 1e-9,
+    tolerance: float = DEFAULT_TOLERANCE,
 ) -> FTReport:
     """Check the exchange identity between a forward/backward pair.
 
@@ -740,7 +742,8 @@ def verify_joint_ft(
     negated key and the log ratio is compared against
     ``sum_i (beta_i - beta_s) Q_i``.  Support must match in both
     directions; a one-sided key is only forgiven when its mass is small
-    enough to have been pruned on the other side.
+    enough to have been pruned on the other side.  A NaN mass gives a NaN
+    residual: it is the worst residual, reported as such, and fails.
     """
     if forward.n_collisions != backward.n_collisions:
         raise ModelError("forward/backward collision counts differ")
@@ -759,14 +762,15 @@ def verify_product_relation(
     forward: JointHeatDistribution,
     backward: JointHeatDistribution,
     singles: Sequence[JointHeatDistribution],
-    tolerance: float = 1e-9,
+    tolerance: float = DEFAULT_TOLERANCE,
 ) -> FTReport:
     """Check that the forward/backward log ratio factors over collisions.
 
     The right-hand side multiplies, for each collision, the ratio of the
     fresh single-collision distribution at +Q_i and -Q_i.  The joint
     distribution itself does not factor; only the ratio does.  A zero
-    single-collision factor is a mismatch whatever the key's mass.
+    single-collision factor is a mismatch whatever the key's mass.  A NaN
+    mass, joint or single, fails with a NaN residual.
     """
     if forward.n_collisions != backward.n_collisions:
         raise ModelError("forward/backward collision counts differ")
@@ -786,7 +790,7 @@ def verify_product_relation(
 
 def verify_partial_decomposition(
     model: ModelConfig,
-    tolerance: float = 1e-9,
+    tolerance: float = DEFAULT_TOLERANCE,
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> FTReport:
     """Peel the last collision off the forward/backward log ratio.
@@ -1096,14 +1100,16 @@ def distribution_from_csv(text: str, direction: str = "forward") -> JointHeatDis
 def _parsed_entries(items, n: int, where: str, heats: Callable, probability: Callable) -> dict[HeatKey, float]:
     """Key -> probability of each ``(number, item)``, read in that order.
 
-    An item without ``n`` heats and a numeric probability, or whose key
-    repeats another's by value, raises a ModelError naming it by ``where``.
+    An item without a list of ``n`` heats and a numeric probability, or whose
+    key repeats another's by value, raises a ModelError naming it by ``where``.
     """
     entries: dict[HeatKey, float] = {}
     parse = lru_cache(maxsize=None, typed=True)(parse_rational)  # once per text; typed: True is not 1
     for at, item in items:
         try:
             texts = heats(item)
+            if not isinstance(texts, list):
+                raise ModelError(f"heats must be a list, not {texts!r}")
             if len(texts) != n:
                 raise ModelError(f"heat key has length {len(texts)}, not n_collisions={n}")
             key, mass = tuple(map(parse, texts)), float(probability(item))

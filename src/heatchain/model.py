@@ -156,7 +156,7 @@ def _check_probability_vector(populations: Sequence[float]) -> np.ndarray:
     if (p < 0).any():
         raise ValueError("probability vector has a negative entry")
     total = float(p.sum())
-    if abs(total - 1.0) > 1e-9:
+    if not abs(total - 1.0) <= 1e-9:  # a NaN entry fails too
         raise ValueError(f"probability vector sums to {total!r}, not 1")
     return p
 

@@ -56,6 +56,7 @@ import numpy as np
 from .chain import CollisionStage, RealizedModel, _jump_grid, evolve, realize_model
 from .heatstats import (
     DEFAULT_ENUMERATION_CAP,
+    DEFAULT_TOLERANCE,
     HeatKey,
     JointHeatDistribution,
     _augmented_layers,
@@ -364,7 +365,7 @@ def _advance_block(
             totals.append(np.add.reduce(terms, axis=0) if k > 1 else np.add.accumulate(terms)[-1])
         sigma, sigma_log_form, *log_p = totals
         sigma_log_form -= tables.log_p0[alphas[:, -1]]
-        failed = np.flatnonzero(~heats_agree | (np.abs(sigma - sigma_log_form) > SIGMA_CONSISTENCY_TOL))
+        failed = np.flatnonzero(~(heats_agree & (np.abs(sigma - sigma_log_form) <= SIGMA_CONSISTENCY_TOL)))
     block = alphas, pairs.T.copy(), heats.T.copy(), sigma, *log_p
     if not failed.size:
         return block, None
@@ -594,7 +595,7 @@ def entropy_production(
         for stage, (n_in, n_out) in zip(realized.stages, pairs):
             log_q = np.log(stage.ancilla_state.populations)
             log_form += float(log_q[n_in] - log_q[n_out])
-    if abs(sigma - log_form) > SIGMA_CONSISTENCY_TOL:
+    if not abs(sigma - log_form) <= SIGMA_CONSISTENCY_TOL:
         raise ConsistencyError(
             f"entropy production mismatch: heat form {sigma!r}, log form {log_form!r}"
         )
@@ -664,7 +665,7 @@ class EntropyReport:
 
 def average_entropy_production(
     model: ModelConfig,
-    tolerance: float = 1e-9,
+    tolerance: float = DEFAULT_TOLERANCE,
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> EntropyReport:
     """Average entropy production via three routes that must agree.
@@ -674,7 +675,8 @@ def average_entropy_production(
     path ensemble; (3) the information form: system entropy change plus
     relative entropy to the initial state, plus the same combination for
     every ancilla against its thermal state.  The report also checks that
-    the information form is non-negative.
+    the information form is non-negative.  An account that is NaN makes
+    the gap NaN, which fails.
     """
     values, ids, masses = _codes(exact_forward_joint(model, cap))
     heat_average = sum((masses * _exponents(values, ids, model)).tolist())
@@ -711,13 +713,13 @@ def average_entropy_production(
         )
 
     values = (heat_average, trajectory_average, information_form)
-    gap = max(abs(x - y) for x in values for y in values)
+    gap = float(np.max([abs(x - y) for x in values for y in values], initial=0.0))
     passed = gap <= tolerance and information_form >= -1e-12
     return EntropyReport(
         heat_average=float(heat_average),
         trajectory_average=float(trajectory_average),
         information_form=float(information_form),
-        max_pairwise_gap=float(gap),
+        max_pairwise_gap=gap,
         tolerance=tolerance,
         passed=passed,
     )

@@ -51,6 +51,10 @@ JointIndex = tuple[int, int]
 
 UNITARY_KINDS = ("haar", "partial_swap", "permutation", "explicit", "identity")
 
+# How far a realized block may miss unitarity, and a propagator detailed
+# balance, before its collision fails.
+REALIZATION_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class EnergyShell:
@@ -392,28 +396,27 @@ def _fixed_blocks(shells: tuple[EnergyShell, ...], spec: UnitarySpec) -> list[np
             blocks.append(np.eye(shell.size, dtype=complex))
         else:
             blocks.append(np.array(mat, dtype=complex))
-    report = validate_energy_preservation(
-        CollisionUnitary(shells=shells, blocks=tuple(blocks)), tolerance=1e-10
-    )
+    report = validate_energy_preservation(CollisionUnitary(shells=shells, blocks=tuple(blocks)))
     if not report.passed:
         raise ModelError(f"explicit block fails unitarity: residual {report.max_residual:.3e}")
     return blocks
 
 
 def validate_energy_preservation(
-    unitary: CollisionUnitary, tolerance: float = 1e-10
+    unitary: CollisionUnitary, tolerance: float = REALIZATION_TOL
 ) -> UnitarityReport:
     """Check each block's unitarity.
 
     Block-diagonality over shells (the energy-preservation constraint
     itself) holds structurally: cross-shell amplitudes are never stored, so
-    only the per-shell residuals ``max|B B^dag - I|`` can fail.
+    only the per-shell residuals ``max|B B^dag - I|`` can fail.  A block
+    holding a NaN has residual NaN, which is the worst residual and fails.
     """
     residuals = []
     for block in unitary.blocks:
         gram = block @ block.conj().T
         residuals.append(float(np.abs(gram - np.eye(block.shape[0])).max()))
-    worst = max(residuals)
+    worst = float(np.max(residuals, initial=0.0))
     return UnitarityReport(
         shell_residuals=tuple(residuals),
         max_residual=worst,
@@ -473,7 +476,7 @@ def _jump_probabilities(
     """Squared moduli of stacked flat block rows, and each row's first failing shell.
 
     A shell fails when an input's exit probabilities miss 1 by more than
-    1e-10 (NaN always misses); a row with no failing shell gets -1.  One
+    ``REALIZATION_TOL`` (NaN always misses); a row with no failing shell gets -1.  One
     ``np.add.at`` sums the exit probabilities of every input of every row.
     """
     index = _shell_index(shells)
@@ -481,7 +484,7 @@ def _jump_probabilities(
     members = len(index.system)
     sums = np.zeros(len(rows) * members)
     np.add.at(sums, (np.arange(len(rows))[:, None] * members + index.into).ravel(), probs.ravel())
-    bad = ~(np.abs(sums - 1.0) <= 1e-10).reshape(len(rows), members)
+    bad = ~(np.abs(sums - 1.0) <= REALIZATION_TOL).reshape(len(rows), members)
     return probs, np.where(bad.any(axis=1), index.shell[bad.argmax(axis=1)], -1)
 
 

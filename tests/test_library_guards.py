@@ -1,5 +1,7 @@
 """Library guards that reject a malformed call, and the propagator built from a bare tensor."""
 
+import math
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -32,6 +34,7 @@ from heatchain import (
     verify_joint_ft,
     verify_product_relation,
 )
+import heatchain
 from heatchain import heatstats
 from heatchain.streams import substream
 
@@ -215,8 +218,33 @@ def swap_on_diagonal_exchange_shell():
             ModelError, r"^entries\[1\]: invalid rational True$", id="json-bool-heat",
         ),
         pytest.param(
+            lambda: distribution_from_json(
+                {"direction": "forward", "n_collisions": 2, "entries": [{"heats": "12", "probability": 1.0}]}
+            ),
+            ModelError, r"^entries\[0\]: heats must be a list, not '12'$", id="json-heats-string",
+        ),
+        pytest.param(
             lambda: marginalize(qubit_laws()[1], True), ValueError, "prefix length True is not an integer",
             id="marginalize-bool",
+        ),
+        pytest.param(
+            lambda: marginalize(qubit_laws()[1], [True]), ValueError,
+            r"coordinates \(True,\) are not integers in 0\.\.1",
+            id="marginalize-bool-coordinate",
+        ),
+        pytest.param(
+            lambda: marginalize(qubit_laws()[1], [1.0]), ValueError,
+            r"coordinates \(1\.0,\) are not integers in 0\.\.1",
+            id="marginalize-float-coordinate",
+        ),
+        pytest.param(
+            lambda: marginalize(qubit_laws()[1], [0, 2]), ValueError,
+            r"coordinates \(0, 2\) are not integers in 0\.\.1",
+            id="marginalize-coordinate-range",
+        ),
+        pytest.param(
+            lambda: marginalize(qubit_laws()[1], [0, True]), ValueError,
+            r"coordinates \(0, True\) are not integers in 0\.\.1", id="marginalize-mixed-coordinates",
         ),
         pytest.param(
             lambda: marginalize(qubit_laws()[1], np.int64(3)), ValueError, r"prefix length 3 is not an integer in 1\.\.2",
@@ -244,11 +272,24 @@ def swap_on_diagonal_exchange_shell():
         pytest.param(
             lambda: shannon_entropy(np.full((2, 2), 0.25)), ValueError, "one-dimensional", id="entropy-2d"
         ),
+        pytest.param(
+            lambda: shannon_entropy([math.nan, math.nan]), ValueError, "sums to nan, not 1", id="entropy-nan"
+        ),
     ],
 )
 def test_guard_rejects_malformed_call(call, error, message):
     with pytest.raises(error, match=message):
         call()
+
+
+def test_package_exports_exactly_each_modules_all():
+    # Each module's __all__ is the one list of its public names.
+    modules = [getattr(heatchain, name) for name in ("model", "unitaries", "chain", "heatstats", "sampler", "streams")]
+    public = {name for name in dir(heatchain) if not name.startswith("_")}
+    submodules = {name for name in public if isinstance(getattr(heatchain, name), types.ModuleType)}
+    assert all(getattr(heatchain, name).__name__ == f"heatchain.{name}" for name in submodules)
+    assert public - submodules == {name for module in modules for name in module.__all__}
+    assert heatchain.__version__
 
 
 def test_marginalize_reads_any_integer_prefix_length():
@@ -257,6 +298,7 @@ def test_marginalize_reads_any_integer_prefix_length():
     assert list(marginalize(forward, np.int64(1)).entries.items()) == want
     assert list(marginalize(forward, np.array(1)).entries.items()) == want
     assert list(marginalize(forward, np.array([0])).entries.items()) == want  # an array of coordinates
+    assert list(marginalize(forward, [np.int64(0)]).entries.items()) == want
 
 
 def test_csv_reader_parses_each_distinct_heat_text_once(monkeypatch):
