@@ -23,11 +23,12 @@ rows of ``model._gibbs_rows`` over its betas, the one routine behind every
 Gibbs state; its identity and partial-swap rows are filled at once, after
 one check of the swap's shell structure; the Haar shells of all collisions
 are drawn each from its own stream and put through one QR and one phase
-fix per shell size; and the squared moduli, the exit-sum check and the
-propagators (one ordered ``np.add.at``) are computed for the whole group.
-A stage's ``unitary`` and ``tensor`` are read-only views of its group's
-rows, built when first read, so routes that never read them (``sample``,
-``exact``) never build them.  Every number is the one a
+fix per shell size; and the squared moduli and the propagators (one ordered
+``np.add.at``) are computed for the whole group.  An explicit row's exit sums
+are checked as its collision is met; the other kinds are unitary by
+construction.  A stage's ``unitary`` and ``tensor`` are read-only views of its
+group's rows, built when first read, so routes that never read them
+(``sample``, ``exact``) never build them.  Every number is the one a
 collision-by-collision realization gives, bit for bit, whatever the other
 collisions of a stack are.
 """
@@ -377,9 +378,7 @@ def realize_model(config: ModelConfig) -> RealizedModel:
     records = []
     for spectrum, group in groups.items():
         rows = group.rows
-        probs, failing = _jump_probabilities(group.shells, rows)
-        if (failing >= 0).any():  # a defect: only explicit blocks can miss, and they are checked above
-            raise _not_unitary(group.shells[failing[failing >= 0][0]])
+        probs = np.abs(rows) ** 2
         populations, log_zs = _gibbs_rows(spectrum, group.betas)
         matrices = _propagator_stack(group.index, config.system.dim, probs, populations)
         for array in (rows, probs, populations):

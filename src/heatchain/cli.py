@@ -234,8 +234,6 @@ def parse_model(document: Mapping) -> ModelConfig:
     try:
         realize_model(config)
     except ModelError as exc:
-        if not hasattr(exc, "collision"):
-            raise
         raise _fail(f"ancillas[{exc.collision - 1}].unitary", str(exc)) from None
     return config
 

@@ -98,6 +98,9 @@ from .model import (
     EnumerationCapError,
     ModelConfig,
     ModelError,
+    _collision_number,
+    _integer_at_least,
+    _real_number,
     format_rational,
     parse_rational,
 )
@@ -266,8 +269,8 @@ def _first_occurrence(code: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndar
     Codes lie in ``[0, bound)``.  When the bound is at most ``_DENSE_CODES``
     per element, a table indexed by code takes each code's first element
     (``np.minimum.at``) and only the distinct codes are sorted, by first
-    element; otherwise the elements are sorted by code.  Both give the same
-    groups, numbered the same way.
+    element; otherwise ``np.unique`` sorts the elements by code, and its
+    inverse, ranked by first element, gives the groups, numbered alike.
     """
     if bound <= _DENSE_CODES * len(code):
         table = np.full(bound, len(code), dtype=np.intp)
@@ -277,11 +280,11 @@ def _first_occurrence(code: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndar
         order = np.argsort(first)
         table[keys[order]] = np.arange(len(keys))
         return table[code], first[order]
-    keys, first = np.unique(code, return_index=True)
+    _, first, group = np.unique(code, return_index=True, return_inverse=True)
     order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
-    return rank[np.searchsorted(keys, code)], first[order]
+    return rank[group], first[order]
 
 
 def _lookup(rows: np.ndarray, table: np.ndarray, radix: int) -> np.ndarray:
@@ -293,14 +296,6 @@ def _lookup(rows: np.ndarray, table: np.ndarray, radix: int) -> np.ndarray:
     order = np.argsort(keys)
     at = np.minimum(np.searchsorted(keys[order], probe), len(keys) - 1)
     return np.where(keys[order][at] == probe, order[at], -1)
-
-
-def _masses_at(masses: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """``masses[index]``, with 0.0 where the index is -1."""
-    out = np.zeros(len(index))
-    hit = index >= 0
-    out[hit] = masses[index[hit]]
-    return out
 
 
 def _shared(*laws: JointHeatDistribution) -> tuple[tuple[Fraction, ...], list[np.ndarray]]:
@@ -594,7 +589,7 @@ def marginalize(dist: JointHeatDistribution, keep: int | Sequence[int]) -> Joint
     explicit ordered list of integer coordinate positions (a bool is neither).
     """
     try:
-        prefix = operator.index(keep)
+        operator.index(keep)
     except TypeError:
         coords = tuple(keep)
         if not coords:
@@ -606,9 +601,9 @@ def marginalize(dist: JointHeatDistribution, keep: int | Sequence[int]) -> Joint
             repeated = next(c for at, c in enumerate(coords) if c in coords[:at])
             raise ValueError(f"coordinate {repeated} repeated in {coords}")
     else:
-        if isinstance(keep, bool) or not 0 < prefix <= dist.n_collisions:
-            raise ValueError(f"prefix length {keep} is not an integer in 1..{dist.n_collisions}")
-        coords = tuple(range(prefix))
+        coords = tuple(
+            range(_collision_number(keep, dist.n_collisions, "prefix length {} is not an integer in 1..{}"))
+        )
     values, ids, masses = _codes(dist)
     kept = ids[:, list(coords)]
     group, first = _first_occurrence(*_row_codes(kept, len(values)))
@@ -630,8 +625,7 @@ def single_collision_distribution(
     bit, and keyed on the chain's registry.  So it realizes the whole
     chain, and raises for a fault at any collision, not only at ``i``.
     """
-    if not 1 <= i <= model.n_collisions:
-        raise ValueError(f"collision index {i} out of range 1..{model.n_collisions}")
+    i = _collision_number(i, model.n_collisions)
     realized = realize_model(model)
     return _system_law(realized, _system_layers(realized, realized.stages[i - 1 : i]), cap, "forward")
 
@@ -703,7 +697,7 @@ def _check_log_ratio(
     pairing = forward.__dict__.get("_pairing")
     if pairing is None or pairing[0] is not backward:
         radix = len(values)
-        p_bwd = _masses_at(_codes(backward).masses, _lookup(_negated_reversed(fwd, radix), bwd, radix))
+        p_bwd = np.append(_codes(backward).masses, 0.0)[_lookup(_negated_reversed(fwd, radix), bwd, radix)]
         paired = p_bwd != 0.0
         ratio = np.zeros(len(fwd))
         ratio[paired] = _logs(p_fwd[paired]) - _logs(p_bwd[paired])
@@ -834,9 +828,7 @@ def _partial_decomposition(
     masses = _codes(forward).masses
     group, first = _first_occurrence(*_row_codes(head, radix))
     p_head = np.bincount(group, weights=masses, minlength=len(first))[group]
-    p_head_bwd = _masses_at(
-        _codes(shorter_backward).masses, _lookup(_negated_reversed(head, radix), head_bwd, radix)
-    )
+    p_head_bwd = np.append(_codes(shorter_backward).masses, 0.0)[_lookup(_negated_reversed(head, radix), head_bwd, radix)]
     ratio, support = _flip_log_ratio(values, last, _codes(last_single).masses)
     supported = (p_head != 0.0) & (p_head_bwd != 0.0) & support[fwd[:, -1]]
     prefix_ratio = np.zeros(len(fwd))
@@ -855,7 +847,7 @@ def _differences(a: JointHeatDistribution, b: JointHeatDistribution) -> np.ndarr
     at = _lookup(ids_a, ids_b, len(values))
     only_b = np.ones(len(ids_b), dtype=bool)
     only_b[at[at >= 0]] = False
-    return np.abs(np.concatenate([masses_a - _masses_at(masses_b, at), masses_b[only_b]]))
+    return np.abs(np.concatenate([masses_a - np.append(masses_b, 0.0)[at], masses_b[only_b]]))
 
 
 def compare_distributions(a: JointHeatDistribution, b: JointHeatDistribution) -> float:
@@ -1064,14 +1056,27 @@ def distribution_to_json(dist: JointHeatDistribution) -> dict:
 
 
 def distribution_from_json(document: Mapping) -> JointHeatDistribution:
-    """Inverse of :func:`distribution_to_json`; keys round-trip exactly."""
-    n, items = int(document["n_collisions"]), enumerate(document["entries"])
-    entries = _parsed_entries(items, n, "entries[{}]", itemgetter("heats"), itemgetter("probability"))
+    """Inverse of :func:`distribution_to_json`; keys round-trip exactly.
+
+    A field that is missing or of the wrong type raises a ModelError naming it.
+    """
+    if not isinstance(document, Mapping):
+        raise ModelError(f"a law document must be an object, not {type(document).__name__}")
+    try:
+        n, direction, items = itemgetter("n_collisions", "direction", "entries")(document)
+    except KeyError as exc:
+        raise ModelError(f"law document has no {exc}") from None
+    n = _integer_at_least(n, 0, "n_collisions")
+    if not isinstance(items, list):
+        raise ModelError(f"entries must be a list, not {items!r}")
     return JointHeatDistribution(
-        entries=entries,
-        direction=document["direction"],
+        entries=_parsed_entries(
+            enumerate(items), n, "entries[{}]", itemgetter("heats"),
+            lambda item: _real_number(item["probability"], "probability"),
+        ),
+        direction=direction,
         n_collisions=n,
-        pruned_mass=float(document.get("pruned_mass", 0.0)),
+        pruned_mass=_real_number(document.get("pruned_mass", 0.0), "pruned_mass"),
     )
 
 

@@ -10,6 +10,8 @@ floats.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -75,6 +77,20 @@ def parse_rational(value: object) -> Fraction:
 def format_rational(value: Fraction) -> str:
     """Canonical ``"num/den"`` form (denominator written even when 1)."""
     return f"{value.numerator}/{value.denominator}"
+
+
+def _real_number(value: object, name: str) -> float:
+    """``value`` as a float; a bool or a non-number raises a ModelError naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ModelError(f"{name} must be a real number, not {value!r}")
+    return float(value)
+
+
+def _integer_at_least(value: object, least: int, name: str) -> int:
+    """``value`` as an int of at least ``least``; a bool or a non-integer raises a ModelError naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ModelError(f"{name} must be an integer of at least {least}, not {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -260,10 +276,25 @@ class ModelConfig:
         return tuple(anc.beta - self.system_beta for anc in self.ancillas)
 
 
+def _collision_number(
+    i: object, count: int, message: str = "collision index {} out of range 1..{}"
+) -> int:
+    """``i`` as an int in ``1..count``, else a ValueError of ``message`` with ``i`` and ``count``.
+
+    A bool or a non-integer is never in range; a numpy integer is read as an int.
+    """
+    try:
+        number = operator.index(i)
+    except TypeError:
+        number = 0
+    if isinstance(i, bool) or not 1 <= number <= count:
+        raise ValueError(message.format(i, count))
+    return number
+
+
 def truncated_model(model: ModelConfig, n: int) -> ModelConfig:
     """The chain restricted to its first ``n`` collisions."""
-    if not 1 <= n <= model.n_collisions:
-        raise ValueError(f"cannot keep {n} of {model.n_collisions} collisions")
+    n = _collision_number(n, model.n_collisions, "cannot keep {} of {} collisions")
     return replace(model, ancillas=model.ancillas[:n])
 
 
@@ -273,6 +304,5 @@ def single_collision_model(model: ModelConfig, i: int) -> ModelConfig:
     The ancilla keeps its stream tag, so a haar unitary comes out identical
     to the one realized inside the full chain.
     """
-    if not 1 <= i <= model.n_collisions:
-        raise ValueError(f"collision index {i} out of range 1..{model.n_collisions}")
+    i = _collision_number(i, model.n_collisions)
     return replace(model, ancillas=(model.ancillas[i - 1],))

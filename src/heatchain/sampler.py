@@ -77,6 +77,8 @@ from .model import (
     ConsistencyError,
     ModelConfig,
     ModelError,
+    _collision_number,
+    _integer_at_least,
     format_rational,
     kl_divergence,
     shannon_entropy,
@@ -128,10 +130,8 @@ class SamplerConfig:
     worker_count: int = 1
 
     def __post_init__(self) -> None:
-        if self.shots < 1:
-            raise ValueError("shots must be positive")
-        if self.worker_count < 1:
-            raise ValueError("worker_count must be positive")
+        for name, least in (("shots", 1), ("master_seed", 0), ("worker_count", 1)):
+            _integer_at_least(getattr(self, name), least, name)
 
 
 @dataclass(frozen=True)
@@ -616,8 +616,7 @@ def _ancilla_post(stage: CollisionStage, p: np.ndarray) -> np.ndarray:
 
 def ancilla_post_state(model: ModelConfig, i: int) -> np.ndarray:
     """Populations of ancilla ``i`` after its collision (1-based index)."""
-    if not 1 <= i <= model.n_collisions:
-        raise ValueError(f"collision index {i} out of range 1..{model.n_collisions}")
+    i = _collision_number(i, model.n_collisions)
     realized = realize_model(model)
     p = realized.system_state.populations
     for stage in realized.stages[: i - 1]:

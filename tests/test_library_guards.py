@@ -14,8 +14,10 @@ from heatchain import (
     JointHeatDistribution,
     ModelConfig,
     ModelError,
+    SamplerConfig,
     Spectrum,
     UnitarySpec,
+    ancilla_post_state,
     backward_path_probability,
     build_energy_shells,
     compare_distributions,
@@ -30,7 +32,9 @@ from heatchain import (
     realize_unitary,
     shannon_entropy,
     single_collision_distribution,
+    single_collision_model,
     total_variation,
+    truncated_model,
     verify_joint_ft,
     verify_product_relation,
 )
@@ -123,6 +127,12 @@ def law_document(*keys: list[str]) -> dict:
     """A one-collision forward law document, one entry of mass 0.5 per key."""
     entries = [{"heats": key, "probability": 0.5} for key in keys]
     return {"direction": "forward", "n_collisions": 1, "entries": entries}
+
+
+def law_document_with(**fields) -> dict:
+    """:func:`law_document` of one key, with ``fields`` set, or removed where given as None."""
+    document = {**law_document(["1"]), **fields}
+    return {name: value for name, value in document.items() if value is not None}
 
 
 def swap_on_diagonal_exchange_shell():
@@ -222,6 +232,87 @@ def swap_on_diagonal_exchange_shell():
                 {"direction": "forward", "n_collisions": 2, "entries": [{"heats": "12", "probability": 1.0}]}
             ),
             ModelError, r"^entries\[0\]: heats must be a list, not '12'$", id="json-heats-string",
+        ),
+        pytest.param(
+            lambda: distribution_from_json(law_document_with(n_collisions=2.7)),
+            ModelError, r"^n_collisions must be an integer of at least 0, not 2\.7$", id="json-count-float",
+        ),
+        pytest.param(
+            lambda: distribution_from_json(law_document_with(n_collisions=True)),
+            ModelError, r"^n_collisions must be an integer of at least 0, not True$", id="json-count-bool",
+        ),
+        pytest.param(
+            lambda: distribution_from_json(law_document_with(n_collisions="1")),
+            ModelError, r"^n_collisions must be an integer of at least 0, not '1'$", id="json-count-text",
+        ),
+        pytest.param(
+            lambda: distribution_from_json(law_document_with(n_collisions=-1)),
+            ModelError, r"^n_collisions must be an integer of at least 0, not -1$", id="json-count-negative",
+        ),
+        pytest.param(
+            lambda: distribution_from_json(law_document_with(entries=None)),
+            ModelError, r"^law document has no 'entries'$", id="json-no-entries",
+        ),
+        pytest.param(
+            lambda: distribution_from_json(law_document_with(direction=None)),
+            ModelError, r"^law document has no 'direction'$", id="json-no-direction",
+        ),
+        pytest.param(
+            lambda: distribution_from_json([law_document(["1"])]),
+            ModelError, r"^a law document must be an object, not list$", id="json-not-object",
+        ),
+        pytest.param(
+            lambda: distribution_from_json(law_document_with(entries=1)),
+            ModelError, r"^entries must be a list, not 1$", id="json-entries-integer",
+        ),
+        pytest.param(
+            lambda: distribution_from_json(law_document_with(pruned_mass="abc")),
+            ModelError, r"^pruned_mass must be a real number, not 'abc'$", id="json-pruned-text",
+        ),
+        pytest.param(
+            lambda: distribution_from_json(law_document_with(pruned_mass=True)),
+            ModelError, r"^pruned_mass must be a real number, not True$", id="json-pruned-bool",
+        ),
+        pytest.param(
+            lambda: distribution_from_json(law_document_with(entries=[{"heats": ["1"], "probability": True}])),
+            ModelError, r"^entries\[0\]: probability must be a real number, not True$", id="json-probability-bool",
+        ),
+        pytest.param(
+            lambda: distribution_from_json(law_document_with(entries=[{"heats": ["1"], "probability": "0.5"}])),
+            ModelError, r"^entries\[0\]: probability must be a real number, not '0\.5'$", id="json-probability-text",
+        ),
+        *[
+            pytest.param(
+                lambda call=call, i=i: call(qubit_laws()[0], i),
+                ValueError, rf"^{message.format(i)}$", id=f"{call.__name__}-{i!r}",
+            )
+            for call, message in [
+                (single_collision_distribution, r"collision index {} out of range 1\.\.2"),
+                (ancilla_post_state, r"collision index {} out of range 1\.\.2"),
+                (single_collision_model, r"collision index {} out of range 1\.\.2"),
+                (truncated_model, "cannot keep {} of 2 collisions"),
+            ]
+            for i in (True, 1.0, 1.5)
+        ],
+        pytest.param(
+            lambda: SamplerConfig(shots=True), ValueError, "^shots must be an integer of at least 1, not True$",
+            id="sampler-shots-bool",
+        ),
+        pytest.param(
+            lambda: SamplerConfig(shots=2.5), ValueError, r"^shots must be an integer of at least 1, not 2\.5$",
+            id="sampler-shots-float",
+        ),
+        pytest.param(
+            lambda: SamplerConfig(shots=1, worker_count=2.0), ValueError,
+            r"^worker_count must be an integer of at least 1, not 2\.0$", id="sampler-workers-float",
+        ),
+        pytest.param(
+            lambda: SamplerConfig(shots=1, master_seed=1.5), ValueError,
+            r"^master_seed must be an integer of at least 0, not 1\.5$", id="sampler-seed-float",
+        ),
+        pytest.param(
+            lambda: SamplerConfig(shots=1, master_seed=-1), ValueError,
+            "^master_seed must be an integer of at least 0, not -1$", id="sampler-seed-negative",
         ),
         pytest.param(
             lambda: marginalize(qubit_laws()[1], True), ValueError, "prefix length True is not an integer",
